@@ -12,21 +12,36 @@ receiver input and the receiver output is observed; the failure criterion is
 an output excursion beyond half the supply (the standard "unity gain /
 switching threshold" criterion used when no downstream latch model is
 available).
+
+The bisection is speculative.  Heights of one width share a time axis, so
+each round simulates, as lockstep lanes of one transient, every midpoint the
+serial bisection could visit in its next :data:`SPECULATION_DEPTH` steps
+(the first round adds the two search bounds), then walks that tree with the
+results.  The midpoints use the serial ``0.5 * (low + high)`` arithmetic and
+each lane equals its height simulated alone, so the curve is exactly the
+serial bisection's -- two runs per width (17 lanes, then 15) instead of ten
+simulations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..technology.cells import NoiseArc, StandardCell
 from ..technology.process import Technology
 from ..units import ps
-from .propagation import simulate_propagated_glitch
+from .propagation import _GlitchBench, _settled
 
 __all__ = ["NoiseRejectionCurve", "characterize_nrc"]
+
+#: Bisection steps resolved per round of lockstep lanes.  A depth-4 tree is
+#: 15 midpoints, so the 8 steps to 1 % of the supply take two rounds; one
+#: stacked iteration over 17 lanes costs about 1.2 times one over 9, which
+#: makes this faster than three rounds of depth 3.
+SPECULATION_DEPTH = 4
 
 
 @dataclass(frozen=True)
@@ -116,36 +131,20 @@ def characterize_nrc(
         widths = np.array([ps(50), ps(100), ps(200), ps(350), ps(500)])
     widths = np.asarray(widths, dtype=float)
 
-    def output_upset(height: float, width: float) -> bool:
-        _, metrics = simulate_propagated_glitch(
-            receiver,
-            technology,
-            arc,
-            glitch_height=height,
-            glitch_width=width,
-            load_capacitance=load_capacitance,
-            dt=dt,
-        )
-        return abs(metrics.peak) >= 0.5 * vdd
-
-    failure_heights = np.zeros(widths.size)
+    bench = _GlitchBench.build(receiver, technology, arc, load_capacitance)
+    x0 = bench.operating_point()
     tolerance = height_tolerance * vdd
-    for index, width in enumerate(widths):
-        low = 0.1 * vdd
-        high = max_height_factor * vdd
-        if not output_upset(high, float(width)):
-            failure_heights[index] = high
-            continue
-        if output_upset(low, float(width)):
-            failure_heights[index] = low
-            continue
-        while high - low > tolerance:
-            middle = 0.5 * (low + high)
-            if output_upset(middle, float(width)):
-                high = middle
-            else:
-                low = middle
-        failure_heights[index] = 0.5 * (low + high)
+    failure_heights = np.array(
+        [
+            _bisect(
+                lambda heights, width=float(width): _upsets(bench, heights, width, dt, x0),
+                0.1 * vdd,
+                max_height_factor * vdd,
+                tolerance,
+            )
+            for width in widths
+        ]
+    )
 
     return NoiseRejectionCurve(
         widths=widths,
@@ -155,3 +154,61 @@ def characterize_nrc(
         vdd=vdd,
         criterion="half-vdd",
     )
+
+
+def _upsets(bench: _GlitchBench, heights: Sequence[float], width: float, dt: float, x0):
+    """Per height: does the receiver output swing past half the supply?
+
+    A failed simulation is returned as its exception, raised only if the
+    bisection needs that height.
+    """
+    return [
+        outcome if isinstance(outcome, Exception) else abs(outcome[1].peak) >= 0.5 * bench.vdd
+        for outcome in bench.simulate(heights, width, dt=dt, x0=x0)
+    ]
+
+
+def _midpoints(low: float, high: float, tolerance: float, depth: int) -> List[float]:
+    """Every midpoint serial bisection of ``[low, high]`` may visit in its
+    next ``depth`` steps, breadth first."""
+    heights: List[float] = []
+    intervals = [(low, high)]
+    for _ in range(depth):
+        narrower = []
+        for lo, hi in intervals:
+            if hi - lo > tolerance:
+                middle = 0.5 * (lo + hi)
+                heights.append(middle)
+                narrower += [(lo, middle), (middle, hi)]
+        intervals = narrower
+    return heights
+
+
+def _bisect(
+    upsets: Callable[[List[float]], list], low: float, high: float, tolerance: float
+) -> float:
+    """The serial bisection's failure height, resolved in speculative rounds.
+
+    Returns ``high`` when even it does not upset the receiver and ``low``
+    when that already does; otherwise bisects to ``tolerance``.
+    """
+    first = True
+    while first or high - low > tolerance:
+        heights = _midpoints(low, high, tolerance, SPECULATION_DEPTH)
+        bounds = [high, low] if first else []
+        outcome: Dict[float, object] = dict(zip(bounds + heights, upsets(bounds + heights)))
+        if first:
+            first = False
+            if not _settled(outcome[high]):
+                return high
+            if _settled(outcome[low]):
+                return low
+        for _ in range(SPECULATION_DEPTH):
+            if not high - low > tolerance:
+                break
+            middle = 0.5 * (low + high)
+            if _settled(outcome[middle]):
+                high = middle
+            else:
+                low = middle
+    return 0.5 * (low + high)

@@ -14,13 +14,15 @@ each entry stores the resulting output glitch peak, area and width.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..circuit.dc import dc_operating_point
 from ..circuit.netlist import Circuit
 from ..circuit.sources import TriangularGlitch
-from ..circuit.transient import transient
+# ``transient`` stays in this namespace for tools that wrap it per module.
+from ..circuit.transient import transient, transient_lanes  # noqa: F401
 from ..technology.cells import NoiseArc, StandardCell
 from ..technology.process import Technology
 from ..units import ps
@@ -126,74 +128,106 @@ class NoisePropagationTable:
         )
 
 
-def _build_propagation_bench(
-    cell: StandardCell,
-    technology: Technology,
-    arc: NoiseArc,
-    load_capacitance: float,
-) -> Tuple[Circuit, str, float, float]:
-    """Build the cell + load test bench for one noise arc.
+@dataclass
+class _GlitchBench:
+    """The cell + load test bench of one noise arc.
 
-    Returns ``(circuit, glitch_source_name, input_quiet_level, direction)``.
-    The glitch source is installed with a zero-excursion placeholder; callers
-    swap its ``waveform`` per grid point, which keeps the circuit topology --
-    and therefore the compiled stamping kernel -- valid across an entire
-    characterisation sweep.
+    The glitch source carries a zero-excursion placeholder; each simulation
+    passes its triangular glitches as lanes of
+    :func:`~repro.circuit.transient.transient_lanes`, so the topology -- and
+    therefore the compiled stamping kernel -- stays valid across an entire
+    characterisation sweep.  The glitch starts after ``t = 0`` at the quiet
+    input level, so every glitch shares the placeholder's DC operating point.
     """
-    vdd = technology.vdd
-    quiet_inputs = arc.input_state()
-    input_quiet_level = vdd if quiet_inputs[arc.input_pin] else 0.0
-    glitch_direction = 1.0 if arc.glitch_rising else -1.0
 
-    circuit = Circuit(f"prop_{cell.name}_{arc.input_pin}")
-    circuit.add_voltage_source("VDD", "vdd", "0", vdd)
-    pin_nodes = {cell.output_pin: "out"}
-    glitch_source_name = ""
-    for pin in cell.inputs:
-        node = f"in_{pin}"
-        pin_nodes[pin] = node
-        if pin == arc.input_pin:
-            glitch_source_name = f"V_{pin}"
-            circuit.add_voltage_source(glitch_source_name, node, "0", input_quiet_level)
-        else:
-            circuit.add_voltage_source(
-                f"V_{pin}", node, "0", vdd if quiet_inputs[pin] else 0.0
-            )
-    cell.instantiate(circuit, "DUT", pin_nodes, technology)
-    circuit.add_capacitor("CLOAD", "out", "0", load_capacitance)
-    return circuit, glitch_source_name, input_quiet_level, glitch_direction
+    circuit: Circuit
+    source_name: str
+    arc: NoiseArc
+    vdd: float
+    quiet_level: float
+    direction: float
+
+    @classmethod
+    def build(
+        cls,
+        cell: StandardCell,
+        technology: Technology,
+        arc: NoiseArc,
+        load_capacitance: float,
+    ) -> "_GlitchBench":
+        vdd = technology.vdd
+        quiet_inputs = arc.input_state()
+        input_quiet_level = vdd if quiet_inputs[arc.input_pin] else 0.0
+
+        circuit = Circuit(f"prop_{cell.name}_{arc.input_pin}")
+        circuit.add_voltage_source("VDD", "vdd", "0", vdd)
+        pin_nodes = {cell.output_pin: "out"}
+        glitch_source_name = ""
+        for pin in cell.inputs:
+            node = f"in_{pin}"
+            pin_nodes[pin] = node
+            if pin == arc.input_pin:
+                glitch_source_name = f"V_{pin}"
+                circuit.add_voltage_source(glitch_source_name, node, "0", input_quiet_level)
+            else:
+                circuit.add_voltage_source(
+                    f"V_{pin}", node, "0", vdd if quiet_inputs[pin] else 0.0
+                )
+        cell.instantiate(circuit, "DUT", pin_nodes, technology)
+        circuit.add_capacitor("CLOAD", "out", "0", load_capacitance)
+        direction = 1.0 if arc.glitch_rising else -1.0
+        return cls(circuit, glitch_source_name, arc, vdd, input_quiet_level, direction)
+
+    def operating_point(self) -> np.ndarray:
+        """The quiet DC operating point every glitch simulation starts from."""
+        return np.array(dc_operating_point(self.circuit).x, copy=True)
+
+    def simulate(
+        self,
+        heights: Sequence[float],
+        width: float,
+        *,
+        dt: float,
+        glitch_delay: float = DEFAULT_GLITCH_DELAY,
+        t_stop: Optional[float] = None,
+        x0: Optional[np.ndarray] = None,
+    ) -> List[Union[Tuple[Waveform, GlitchMetrics], Exception]]:
+        """Glitches of one ``width`` and several ``heights``, as lockstep lanes.
+
+        Returns, per height, the output waveform and its glitch metrics
+        (relative to the quiescent output level), or the exception that
+        height's simulation failed with.
+        """
+        if t_stop is None:
+            t_stop = glitch_delay + 4.0 * width + 300e-12
+        lanes = [
+            {
+                self.source_name: TriangularGlitch(
+                    baseline=self.quiet_level,
+                    height=self.direction * height,
+                    delay=glitch_delay,
+                    rise=0.5 * width,
+                    fall=0.5 * width,
+                )
+            }
+            for height in heights
+        ]
+        quiescent_output = self.vdd if self.arc.output_high else 0.0
+        outcomes: List[Union[Tuple[Waveform, GlitchMetrics], Exception]] = []
+        for result in transient_lanes(self.circuit, t_stop, dt, lanes, x0=x0):
+            if isinstance(result, Exception):
+                outcomes.append(result)
+            else:
+                out = result["out"]
+                outcomes.append((out, out.glitch_metrics(baseline=quiescent_output)))
+        return outcomes
 
 
-def _run_propagation_point(
-    circuit: Circuit,
-    glitch_source_name: str,
-    arc: NoiseArc,
-    vdd: float,
-    input_quiet_level: float,
-    glitch_direction: float,
-    glitch_height: float,
-    glitch_width: float,
-    *,
-    dt: float,
-    glitch_delay: float,
-    t_stop: Optional[float],
-    x0=None,
-) -> Tuple[Waveform, GlitchMetrics]:
-    """Simulate one (height, width) glitch on a prebuilt bench."""
-    circuit[glitch_source_name].waveform = TriangularGlitch(
-        baseline=input_quiet_level,
-        height=glitch_direction * glitch_height,
-        delay=glitch_delay,
-        rise=0.5 * glitch_width,
-        fall=0.5 * glitch_width,
-    )
-    if t_stop is None:
-        t_stop = glitch_delay + 4.0 * glitch_width + 300e-12
-    result = transient(circuit, t_stop=t_stop, dt=dt, x0=x0)
-    out = result["out"]
-    quiescent_output = vdd if arc.output_high else 0.0
-    metrics = out.glitch_metrics(baseline=quiescent_output)
-    return out, metrics
+def _settled(outcome):
+    """The ``(waveform, metrics)`` of a lane, raising its failure if any."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def simulate_propagated_glitch(
@@ -213,22 +247,11 @@ def simulate_propagated_glitch(
     Returns the output waveform and its glitch metrics (relative to the
     quiescent output level).
     """
-    circuit, source_name, quiet_level, direction = _build_propagation_bench(
-        cell, technology, arc, load_capacitance
+    bench = _GlitchBench.build(cell, technology, arc, load_capacitance)
+    (outcome,) = bench.simulate(
+        [glitch_height], glitch_width, dt=dt, glitch_delay=glitch_delay, t_stop=t_stop
     )
-    return _run_propagation_point(
-        circuit,
-        source_name,
-        arc,
-        technology.vdd,
-        quiet_level,
-        direction,
-        glitch_height,
-        glitch_width,
-        dt=dt,
-        glitch_delay=glitch_delay,
-        t_stop=t_stop,
-    )
+    return _settled(outcome)
 
 
 def characterize_noise_propagation(
@@ -254,37 +277,18 @@ def characterize_noise_propagation(
     heights = np.asarray(heights, dtype=float)
     widths = np.asarray(widths, dtype=float)
 
-    # One test bench for the whole sweep: only the glitch source waveform
-    # changes between grid points, so the compiled stamping kernel (and its
-    # cached base matrices) are reused across every simulation.  The glitch
-    # starts after t = 0 at the quiescent input level, so the DC operating
-    # point is identical for all points and is computed exactly once.
-    from ..circuit.dc import dc_operating_point
-
-    circuit, source_name, quiet_level, direction = _build_propagation_bench(
-        cell, technology, arc, load_capacitance
-    )
-    x0 = np.array(dc_operating_point(circuit).x, copy=True)
+    # One test bench and one DC operating point for the whole sweep; the
+    # heights of one width share a time axis and run as lockstep lanes.
+    bench = _GlitchBench.build(cell, technology, arc, load_capacitance)
+    x0 = bench.operating_point()
 
     peak = np.zeros((heights.size, widths.size))
     area = np.zeros_like(peak)
     out_width = np.zeros_like(peak)
-    for i, height in enumerate(heights):
-        for j, width in enumerate(widths):
-            _, metrics = _run_propagation_point(
-                circuit,
-                source_name,
-                arc,
-                vdd,
-                quiet_level,
-                direction,
-                float(height),
-                float(width),
-                dt=dt,
-                glitch_delay=DEFAULT_GLITCH_DELAY,
-                t_stop=None,
-                x0=x0,
-            )
+    for j, width in enumerate(widths):
+        outcomes = bench.simulate(heights, float(width), dt=dt, x0=x0)
+        for i, outcome in enumerate(outcomes):
+            _, metrics = _settled(outcome)
             peak[i, j] = metrics.peak
             area[i, j] = metrics.area * (1.0 if metrics.peak >= 0 else -1.0)
             out_width[i, j] = metrics.width

@@ -53,7 +53,13 @@ from .sources import (
     SourceWaveform,
     TriangularGlitch,
 )
-from .transient import TransientResult, TransientStats, build_time_axis, transient
+from .transient import (
+    TransientResult,
+    TransientStats,
+    build_time_axis,
+    transient,
+    transient_lanes,
+)
 
 __all__ = [
     "GROUND",
@@ -85,6 +91,7 @@ __all__ = [
     "DCSolution",
     "ConvergenceError",
     "transient",
+    "transient_lanes",
     "build_time_axis",
     "TransientResult",
     "TransientStats",

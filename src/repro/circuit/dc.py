@@ -24,13 +24,9 @@ import numpy as np
 from .elements import GROUND, StampContext, VoltageSource
 from .mna import SingularMatrixError, solve_linear_system
 from .netlist import Circuit
-from .stamping import resolve_backend
+from .stamping import ConvergenceError, resolve_backend
 
 __all__ = ["DCSolution", "ConvergenceError", "dc_operating_point", "newton_solve"]
-
-
-class ConvergenceError(RuntimeError):
-    """Raised when the non-linear solver fails to converge."""
 
 
 @dataclass

@@ -30,6 +30,15 @@ skips Newton entirely: one LU factorization per unique ``(dt, method)`` is
 reused across all time steps with only right-hand-side updates, so a
 uniform-``dt`` grid pays for a single factorization over the whole run.
 
+Nonlinear circuits step through :class:`NonlinearLaneStepper`: ``B``
+same-topology *lanes* (the same circuit under different source waveforms)
+advance in lockstep over one shared time axis.  Each lane keeps its own
+Newton iterate, convergence mask and retry rungs, while every iteration
+shares one cached base matrix, one :class:`~repro.circuit.mosfet.MOSFETBlock`
+evaluation of all transistors of all lanes and one stacked
+``np.linalg.solve``; capacitor and inductor companion state lives in
+``(lanes, elements)`` arrays.  ``B = 1`` is the ordinary transient.
+
 Two interchangeable linear-algebra backends share all of the machinery above:
 
 * **dense** -- NumPy arrays factorised with ``scipy.linalg.lu_factor``; the
@@ -59,10 +68,11 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .. import faults
 from .elements import (
     Capacitor,
     CurrentSource,
@@ -72,12 +82,14 @@ from .elements import (
     StampContext,
     VoltageSource,
 )
+from .mosfet import MOSFET, AlphaPowerModel, Level1Model, MOSFETBlock
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle (netlist builds the kernel)
     from .netlist import Circuit
 
 __all__ = [
     "SingularMatrixError",
+    "ConvergenceError",
     "KernelStats",
     "CompiledKernel",
     "DescriptorSystem",
@@ -85,9 +97,13 @@ __all__ = [
     "LinearSolver",
     "SparseLinearSolver",
     "LinearTransientStepper",
+    "NonlinearLaneStepper",
+    "LaneRun",
+    "RETRY_RUNGS",
     "SPARSE_AUTO_THRESHOLD",
     "SOLVER_BACKENDS",
     "resolve_backend",
+    "compilable",
 ]
 
 #: Maximum number of cached base matrices per kernel (gmin stepping can visit
@@ -102,6 +118,15 @@ SOLVER_BACKENDS = ("auto", "dense", "sparse")
 #: below a few hundred unknowns LAPACK's dense kernels win, above it the
 #: near-tree sparsity of extracted interconnect makes ``splu`` pull away.
 SPARSE_AUTO_THRESHOLD = 500
+
+#: Per-point retry rungs after plain Newton fails, as ``(name, budget scale,
+#: damping limit)``; every rung integrates with backward Euler, which is more
+#: forgiving near sharp transitions, and the heavily damped last rung with a
+#: larger budget globalises the iteration when full steps oscillate.
+RETRY_RUNGS = (
+    ("be", 2, 1.0),
+    ("be-damped", 4, 0.1),
+)
 
 try:  # SciPy is optional: fall back to a cached inverse when missing.
     from scipy.linalg import lu_factor as _lu_factor, lu_solve as _lu_solve
@@ -149,6 +174,10 @@ def resolve_backend(backend: str, num_unknowns: int) -> str:
 
 class SingularMatrixError(RuntimeError):
     """Raised when the MNA matrix cannot be factorised."""
+
+
+class ConvergenceError(RuntimeError):
+    """Raised when the non-linear solver fails to converge."""
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +362,25 @@ def _defining_class(cls: type, name: str) -> Optional[type]:
     return None
 
 
+def compilable(element: Element) -> bool:
+    """True when ``element`` is a MOSFET :class:`MOSFETBlock` can reproduce.
+
+    A subclass that overrides ``stamp`` or the evaluation methods, or a
+    device whose static model is not exactly :class:`Level1Model` or
+    :class:`AlphaPowerModel`, keeps its own ``stamp`` -- compiling it would
+    silently bypass the override (as :func:`_effective_partition` demotes
+    overridden linear elements).
+    """
+    return (
+        isinstance(element, MOSFET)
+        and all(
+            _defining_class(type(element), name) is MOSFET
+            for name in ("stamp", "_evaluate", "_evaluate_nmos")
+        )
+        and type(element._model) in (Level1Model, AlphaPowerModel)
+    )
+
+
 def _effective_partition(element: Element) -> str:
     """The partition the kernel may safely compile ``element`` under.
 
@@ -433,6 +481,21 @@ class CompiledKernel:
             e for e in self.dynamic_elements
             if id(e) not in compiled and not isinstance(e, Capacitor)
         ]
+
+        # Plain MOSFETs are evaluated as one struct-of-arrays block by the
+        # lane stepper; every other nonlinear element keeps its own stamp.
+        mosfets: List[Element] = []
+        self.looped_nonlinear: List[Element] = []
+        for element in self.nonlinear_elements:
+            (mosfets if compilable(element) else self.looped_nonlinear).append(element)
+        self.mosfet_block = MOSFETBlock(mosfets, n) if mosfets else None
+        #: True when all companion state fits the lane stepper's arrays: no
+        #: custom dynamic element and no nonlinear element with state of
+        #: its own (an ``update_state`` override).
+        self.array_state = not self._other_dynamic and all(
+            _defining_class(type(e), "update_state") is Element
+            for e in self.nonlinear_elements
+        )
 
         # --- static COO compile (one shot, reused by every base matrix) -----
         coo = _COOMatrix()
@@ -1007,3 +1070,455 @@ class LinearTransientStepper:
             element.name: {"i": float(self._ind_i[index]), "v": float(self._ind_v[index])}
             for index, element in enumerate(self.kernel._inductors)
         }
+
+
+# ---------------------------------------------------------------------------
+# Lockstep-lane nonlinear transient core
+# ---------------------------------------------------------------------------
+
+@dataclass
+class LaneRun:
+    """Outcome of one :class:`NonlinearLaneStepper` run, indexed by lane.
+
+    Counters keep the meaning of a single-lane run: ``newton_iterations``
+    counts the iterations of each point's accepted attempt,
+    ``assemblies_avoided`` the iterations served from the cached base
+    matrix, and ``rhs_builds`` one linear right-hand side per attempt.  A
+    lane that fails (no rung converged, or a singular system) records its
+    exception in ``errors`` and stops stepping; the others carry on.
+    """
+
+    solutions: np.ndarray
+    newton_iterations: np.ndarray
+    assemblies_avoided: np.ndarray
+    rhs_builds: np.ndarray
+    recoveries: List[List[str]]
+    errors: List[Optional[Exception]]
+
+
+class NonlinearLaneStepper:
+    """Damped-Newton stepping of ``lanes`` copies of one circuit in lockstep.
+
+    Lanes differ only in the waveforms of chosen independent sources
+    (``waveforms``: one ``{source position in kernel.source_elements:
+    waveform}`` mapping per lane) and share the time axis and initial
+    state.  Each lane runs exactly the iteration of
+    :func:`repro.circuit.dc.newton_solve` (same damping, same convergence
+    test, same :data:`RETRY_RUNGS`): a converged lane's iterate freezes
+    while the others iterate on, so its waveform, iteration count and
+    recoveries equal those of the lane run on its own.
+
+    Per iteration the lanes share the cached base matrix, one
+    :class:`~repro.circuit.mosfet.MOSFETBlock` evaluation and one stacked
+    ``np.linalg.solve`` (dense) or one ``splu`` per lane (sparse).  The
+    dense solve calls the ``solve`` fault hook once, like
+    :func:`~repro.circuit.mna.solve_linear_system`; an injected singular
+    system fails the whole run.  Nonlinear elements other than plain
+    MOSFETs stamp themselves per lane with an empty ``prev_state``; circuits
+    whose elements keep state of their own (``kernel.array_state`` false)
+    are not supported.
+    """
+
+    def __init__(
+        self,
+        kernel: CompiledKernel,
+        lanes: int = 1,
+        *,
+        method: str,
+        gmin: float,
+        backend: str = "dense",
+        max_newton: int = 50,
+        vtol: float = 1e-6,
+        damping: bool = True,
+        waveforms: Optional[Sequence[Mapping[int, object]]] = None,
+    ):
+        if not kernel.array_state:
+            raise ValueError(
+                "the lane stepper keeps companion state in arrays; circuit "
+                f"'{kernel.circuit.name}' has elements with state of their own"
+            )
+        if backend not in ("dense", "sparse"):
+            raise ValueError(
+                f"stepper backend must be 'dense' or 'sparse', got '{backend}'"
+            )
+        self.kernel = kernel
+        self.lanes = lanes
+        self.method = method
+        self.gmin = gmin
+        self.backend = backend
+        self.max_newton = max_newton
+        self.vtol = vtol
+        self.damping = damping
+        waveforms = list(waveforms) if waveforms is not None else [{}] * lanes
+        if len(waveforms) != lanes:
+            raise ValueError(f"{len(waveforms)} waveform mappings for {lanes} lanes")
+
+        n = kernel.n
+        # Per source: None (one value for every lane) or one waveform per lane.
+        self._sources: List[Tuple[Element, Optional[list]]] = []
+        for index, element in enumerate(kernel.source_elements):
+            if not any(index in lane for lane in waveforms):
+                self._sources.append((element, None))
+            elif isinstance(element, (VoltageSource, CurrentSource)):
+                per_lane = [lane.get(index, element.waveform) for lane in waveforms]
+                self._sources.append((element, per_lane))
+            else:
+                raise ValueError(f"source '{element.name}' has no waveform to vary per lane")
+
+        self._ind_branch = np.array([e.branch_indices[0] for e in kernel._inductors], dtype=int)
+        self._ind_a = np.array(
+            [e.nodes[0] if e.nodes[0] != GROUND else n for e in kernel._inductors], dtype=int
+        )
+        self._ind_b = np.array(
+            [e.nodes[1] if e.nodes[1] != GROUND else n for e in kernel._inductors], dtype=int
+        )
+        self._ind_L = np.array([e.inductance for e in kernel._inductors], dtype=float)
+        # Companion right-hand-side scatter: capacitor a-ends, then b-ends.
+        self._cap_scatter = np.concatenate((kernel._cap_a, kernel._cap_b))
+        self._cap_flat: Dict[int, np.ndarray] = {}
+        self._signatures = {
+            m: tuple(m == "trap" for _ in kernel.dynamic_elements) for m in ("trap", "be")
+        }
+        self._coefficients: Dict[Tuple[float, bool], Tuple[np.ndarray, np.ndarray]] = {}
+        self._stamps_per_lane = len(kernel.nonlinear_elements)
+        self._cap_v = self._cap_i = self._ind_i = self._ind_v = np.zeros((lanes, 0))
+
+    # ---------------------------------------------------------------- run
+
+    def run(self, times: np.ndarray, dts: Sequence[float], x0: np.ndarray) -> LaneRun:
+        """Step every lane over ``times`` (``dts[i]`` ends at ``times[i + 1]``)."""
+        kernel = self.kernel
+        stats = kernel.stats
+        B, n = self.lanes, kernel.n
+        run = LaneRun(
+            solutions=np.zeros((B, len(times), n)),
+            newton_iterations=np.zeros(B, dtype=int),
+            assemblies_avoided=np.zeros(B, dtype=int),
+            rhs_builds=np.zeros(B, dtype=int),
+            recoveries=[[] for _ in range(B)],
+            errors=[None] * B,
+        )
+        run.solutions[:, 0] = x0
+        # Accepted iterates with a zero ground column; companion state.
+        x = np.zeros((B, n + 1))
+        x[:, :n] = x0
+        self._cap_v = x[:, kernel._cap_a] - x[:, kernel._cap_b]
+        self._cap_i = np.zeros_like(self._cap_v)
+        self._ind_i = x[:, self._ind_branch]
+        self._ind_v = x[:, self._ind_a] - x[:, self._ind_b]
+        attempts = ((self.method, self.method, 1, 1.0),) + tuple(
+            (name, "be", scale, limit) for name, scale, limit in RETRY_RUNGS
+        )
+        everyone = np.arange(B)
+        alive = everyone
+        # Counters are charged per lane as the lanes run one at a time would
+        # report them; ``ran`` counts each lane's iterations per attempt.
+        ran_total = np.zeros(B, dtype=int)
+        lookups = misses = 0
+
+        try:
+            for step in range(1, len(times)):
+                if not alive.size:
+                    break
+                t = float(times[step])
+                dt = dts[step - 1]
+                z_src = self._source_rhs(t, dt)
+                # Rows of this attempt: every lane (a slice) or an index array.
+                sel = slice(None) if alive.size == B else alive
+                for rung, (name, method, scale, limit) in enumerate(attempts):
+                    lanes = everyone[sel]
+                    trap = method == "trap"
+                    z = self._companion_rhs(z_src[sel], sel, dt, trap)
+                    base, hit = self._base(dt, method)
+                    # The base lookup hits for every lane but a first-ever one.
+                    lookups += 1
+                    if not hit:
+                        misses += 1
+                        run.assemblies_avoided[lanes[0]] -= 1
+                    budget = self.max_newton * scale
+                    x_new, ran, done, errors, last_dx = self._newton(
+                        base, z, x[sel], budget=budget, limit=limit,
+                        time=t, dt=dt, method=method,
+                    )
+                    retry = None
+                    ran_total[sel] += ran
+                    run.rhs_builds[sel] += 1
+                    if done is None:
+                        run.newton_iterations[sel] += ran
+                    else:
+                        run.newton_iterations[sel] += ran * done
+                        failed = ~done
+                        for row, error in errors.items():
+                            failed[row] = False
+                            run.errors[lanes[row]] = error
+                        if rung == len(attempts) - 1:
+                            for row in np.flatnonzero(failed):
+                                run.errors[lanes[row]] = ConvergenceError(
+                                    f"Newton did not converge in {budget} iterations "
+                                    f"(last max dV = {last_dx[row]:.3e})"
+                                )
+                        else:
+                            retry = lanes[failed]
+                        if failed.any() or errors:
+                            alive = None  # recomputed after this point
+                        sel, x_new = lanes[done], x_new[done]
+                    self._accept(sel, x_new, dt, trap)
+                    x[sel] = x_new
+                    run.solutions[sel, step] = x_new[:, :n]
+                    if rung:
+                        for lane in everyone[sel]:
+                            run.recoveries[lane].append(f"t={t:.4e}: {name}")
+                    if retry is None or not retry.size:
+                        break
+                    sel = retry
+                if alive is None:
+                    alive = np.array(
+                        [lane for lane in everyone if run.errors[lane] is None], dtype=int
+                    )
+        finally:
+            # Every iteration reuses the attempt's base matrix except a first
+            # lookup that had to build it; the lookups counted themselves.
+            run.assemblies_avoided += ran_total
+            stats.base_hits += int(run.assemblies_avoided.sum()) - (lookups - misses)
+            stats.rhs_builds += int(run.rhs_builds.sum())
+            stats.nonlinear_stamps += int(ran_total.sum()) * self._stamps_per_lane
+        return run
+
+    # ------------------------------------------------------------ internals
+
+    def _source_rhs(self, t: float, dt: float) -> np.ndarray:
+        """Independent-source part of every lane's right-hand side at ``t``."""
+        z = np.zeros((self.lanes, self.kernel.n))
+        ctx = StampContext(x=np.zeros(0), time=t, dt=dt, method=self.method, gmin=self.gmin)
+        for element, per_lane in self._sources:
+            if per_lane is None:
+                value = element.value(ctx)
+            else:
+                value = np.array([waveform(t) for waveform in per_lane])
+            if isinstance(element, VoltageSource):
+                z[:, element.branch_indices[0]] += value
+            elif isinstance(element, CurrentSource):
+                a, b = element.nodes
+                if a != GROUND:
+                    z[:, a] -= value
+                if b != GROUND:
+                    z[:, b] += value
+            else:
+                for row in z:
+                    element.stamp(_NULL_SINK, row, ctx)
+        return z
+
+    def _coefficient(self, dt: float, trap: bool) -> Tuple[np.ndarray, np.ndarray]:
+        """Companion conductances of the capacitors and inductor resistances."""
+        key = (dt, trap)
+        cached = self._coefficients.get(key)
+        if cached is None:
+            factor = 2.0 if trap else 1.0
+            cached = (factor * self.kernel._cap_c / dt, factor * self._ind_L / dt)
+            self._coefficients[key] = cached
+        return cached
+
+    def _companion_rhs(self, z: np.ndarray, sel, dt: float, trap: bool) -> np.ndarray:
+        """``z`` plus the capacitor and inductor companion sources of ``sel``."""
+        kernel = self.kernel
+        geq, req = self._coefficient(dt, trap)
+        if kernel._caps:
+            ieq = geq * self._cap_v[sel] + (self._cap_i[sel] if trap else 0.0)
+            rows = len(z)
+            # Sequential bincount: each node sums its a-end, then b-end
+            # contributions in capacitor order, as the scalar path does.
+            flat = self._cap_flat.get(rows)
+            if flat is None:
+                flat = (np.arange(rows)[:, None] * (kernel.n + 1) + self._cap_scatter).ravel()
+                self._cap_flat[rows] = flat
+            z_ext = np.bincount(
+                flat, np.concatenate((ieq, -ieq), axis=1).ravel(), rows * (kernel.n + 1)
+            )
+            z = z + z_ext.reshape(rows, kernel.n + 1)[:, : kernel.n]
+        else:
+            z = z.copy()
+        if self._ind_branch.size:
+            ind_i = self._ind_i[sel]
+            veq = req * ind_i + self._ind_v[sel] if trap else req * ind_i
+            z[:, self._ind_branch] += -veq
+        return z
+
+    def _accept(self, sel, x_new: np.ndarray, dt: float, trap: bool) -> None:
+        """Commit accepted iterates: the companion-state update of each lane.
+
+        Mirrors ``Capacitor.update_state`` / ``Inductor.update_state``
+        operation for operation.
+        """
+        kernel = self.kernel
+        if kernel._caps:
+            coeff, _ = self._coefficient(dt, trap)
+            v_new = x_new[:, kernel._cap_a] - x_new[:, kernel._cap_b]
+            i_new = coeff * (v_new - self._cap_v[sel]) - (self._cap_i[sel] if trap else 0.0)
+            self._cap_v[sel] = v_new
+            self._cap_i[sel] = i_new
+        if self._ind_branch.size:
+            self._ind_i[sel] = x_new[:, self._ind_branch]
+            self._ind_v[sel] = x_new[:, self._ind_a] - x_new[:, self._ind_b]
+
+    def _base(self, dt: float, method: str):
+        """The attempt's shared base matrix and whether the cache held it."""
+        kernel = self.kernel
+        key = (dt, method, self.gmin, self._signatures[method])
+        hits = kernel.stats.base_hits
+        if self.backend == "sparse":
+            base = kernel.base_matrix_sparse_for_key(key)
+        else:
+            base = kernel.base_matrix_for_key(key)
+        return base, kernel.stats.base_hits != hits
+
+    def _newton(self, base, z, x0, *, budget, limit, **point):
+        """Lockstep damped Newton from the iterates ``x0`` (with ground column).
+
+        Every row is assembled and solved each iteration -- one stacked
+        solve costs about the same for any row count -- but a row's iterate
+        only moves while it is active, so converged rows stay exactly where
+        a lone run would have stopped.  Returns ``(x, ran, done, errors,
+        last_dx)``: final iterates, iterations each row ran, the converged
+        rows, ``{row: SingularMatrixError}`` and the last update norms.
+        When every row converged in the same iteration ``ran`` is that
+        count and ``done`` is ``None``.
+        """
+        kernel = self.kernel
+        n = kernel.n
+        rows = len(x0)
+        x = x0.copy()
+        prev = x0[:, :n]
+        errors: Dict[int, Exception] = {}
+        active = ran = None
+        for iteration in range(1, budget + 1):
+            za = z.copy()
+            systems = self._assemble(base, za, x, prev, **point)
+            x_new, failed = self._solve(systems, za)
+            xn = x[:, :n]
+            dx = x_new - xn
+            max_dx = np.abs(dx).max(axis=1)
+            peak = max_dx.max()
+            if failed or not peak < np.inf:
+                for row in np.flatnonzero(~(max_dx < np.inf)):
+                    failed.setdefault(
+                        int(row), SingularMatrixError("solution contains non-finite values")
+                    )
+                for row in failed:
+                    x_new[row] = xn[row]
+                    dx[row] = max_dx[row] = 0.0
+                peak = max_dx.max()
+            if self.damping and peak > limit:
+                damp = max_dx > limit
+                x_new[damp] = xn[damp] + dx[damp] * (limit / max_dx[damp])[:, None]
+            if iteration == 1 and max_dx.min() < self.vtol:
+                # A first update below vtol only converges when the residual
+                # at the starting iterate is small as well.
+                converged = max_dx < self.vtol
+                hit = np.flatnonzero(converged)
+                if isinstance(systems, np.ndarray):
+                    product = np.matmul(systems[hit], xn[hit, :, None])[:, :, 0]
+                else:
+                    product = np.array([systems[row] @ xn[row] for row in hit])
+                worst = np.abs((product - za[hit])[:, : kernel.num_nodes]).max(axis=1)
+                converged[hit] = worst < np.maximum(1e-9, 1e-6 * (1.0 + worst))
+                every = converged.all()
+            else:
+                converged = None
+                every = peak < self.vtol
+            if active is None and not failed:
+                if every:
+                    x[:, :n] = x_new
+                    return x, iteration, None, errors, max_dx
+                if converged is None and (rows == 1 or not max_dx.min() < self.vtol):
+                    # Nobody converged: the rows keep moving together.
+                    x[:, :n] = x_new
+                    continue
+            if converged is None:
+                converged = max_dx < self.vtol
+            if active is None:
+                active = np.ones(rows, dtype=bool)
+                ran = np.full(rows, iteration - 1)
+            ran += active
+            for row, error in failed.items():
+                if active[row]:
+                    errors[row] = error
+                    active[row] = False
+            np.copyto(xn, x_new, where=active[:, None])
+            active &= ~converged
+            if not active.any():
+                break
+        if active is None:  # the budget ran out with every row still moving
+            return x, np.full(rows, budget), np.zeros(rows, dtype=bool), errors, max_dx
+        done = ~active
+        for row in errors:
+            done[row] = False
+        return x, ran, done, errors, max_dx
+
+    def _assemble(self, base, z: np.ndarray, xa: np.ndarray, prev: np.ndarray, **point):
+        """Per-lane systems at the iterates ``xa`` (with ground column).
+
+        Returns a stacked ``(lanes, n, n)`` array (dense) or a list of CSC
+        matrices (sparse); ``z`` is stamped in place.  Dense systems stamp
+        plain MOSFETs through the kernel's block; every other nonlinear
+        element (all of them, for sparse systems) stamps itself per lane.
+        """
+        kernel = self.kernel
+        n = kernel.n
+        block = kernel.mosfet_block
+        dense = self.backend == "dense"
+        looped = kernel.looped_nonlinear if dense else kernel.nonlinear_elements
+        ctxs = [
+            StampContext(x=xa[row, :n], prev_x=prev[row], gmin=self.gmin, **point)
+            for row in range(len(xa))
+        ] if looped else []
+        if dense:
+            A = np.repeat(base[None], len(xa), axis=0)
+            if block is not None:
+                block.stamp(A, z, xa)
+            for row, ctx in enumerate(ctxs):
+                for element in looped:
+                    element.stamp(A[row], z[row], ctx)
+            return A
+        systems = []
+        for row, ctx in enumerate(ctxs or [None] * len(xa)):
+            coo = _COOMatrix()
+            for element in looped:
+                element.stamp(coo, z[row], ctx)
+            delta = _sparse.coo_matrix(
+                (np.array(coo.vals, dtype=float),
+                 (np.array(coo.rows, dtype=int), np.array(coo.cols, dtype=int))),
+                shape=base.shape,
+            )
+            systems.append(base + delta.tocsc())
+        return systems
+
+    def _solve(self, systems, z: np.ndarray) -> Tuple[np.ndarray, Dict[int, Exception]]:
+        """Solve every lane's system; returns ``(x, {row: error})``.
+
+        Non-finite solutions are left for the caller to screen.
+        """
+        failed: Dict[int, Exception] = {}
+        if self.backend == "sparse":
+            x = np.zeros_like(z)
+            for row, A in enumerate(systems):
+                try:
+                    x[row] = SparseLinearSolver(A).solve(z[row])
+                except SingularMatrixError as exc:
+                    failed[row] = exc
+            return x, failed
+        # The stacked solve is one dense factorisation site, hooked like
+        # solve_linear_system so fault plans keep reaching it.
+        if faults.fire("solve") == "singular":
+            raise SingularMatrixError("injected singular matrix [fault plan]")
+        try:
+            return np.linalg.solve(systems, z[..., None])[..., 0], failed
+        except np.linalg.LinAlgError:
+            pass
+        # Isolate the singular lanes; the others keep their solutions.
+        x = np.zeros_like(z)
+        for row in range(len(z)):
+            try:
+                x[row] = np.linalg.solve(systems[row], z[row])
+            except np.linalg.LinAlgError as exc:
+                failed[row] = SingularMatrixError(str(exc))
+        return x, failed

@@ -4,7 +4,7 @@ The integrator uses the companion-model formulation implemented by the
 elements themselves: backward Euler for the first step (and optionally
 throughout) and trapezoidal integration afterwards.
 
-Two execution paths share the same time axis and companion models:
+Three execution paths share the same time axis and companion models:
 
 * **linear fast path** -- circuits with no nonlinear element skip Newton
   entirely: each unique time step size is LU-factorised once
@@ -13,21 +13,30 @@ Two execution paths share the same time axis and companion models:
   uniform-``dt`` grid therefore pays for exactly one factorization over the
   whole run.  This is the hot path of the characterisation and cluster
   workloads, which are dominated by RC / Thevenin circuits.
-* **Newton path** -- nonlinear circuits run the damped Newton iteration from
-  :mod:`repro.circuit.dc`; each iteration starts from the kernel's cached
-  base matrix and only the nonlinear elements are re-stamped.
+* **Newton path** -- nonlinear circuits run through the lane stepper
+  (:class:`~repro.circuit.stamping.NonlinearLaneStepper`): the damped
+  Newton iteration of :mod:`repro.circuit.dc` with companion state in
+  arrays, the cell's MOSFETs evaluated as one compiled block and each
+  iteration started from the kernel's cached base matrix.
+  :func:`transient` runs one lane; :func:`transient_lanes` runs several
+  copies of a circuit that differ only in source waveforms in lockstep
+  (heights of one glitch width, say), each lane's result equal to the
+  lane run on its own.
+* ``solver="legacy"`` keeps the original per-iteration, per-element
+  Python assembly and ``update_state`` loop unchanged as the benchmark
+  baseline; circuits with elements the lane stepper cannot hold in arrays
+  (custom dynamic elements, nonlinear elements with state of their own)
+  take the same per-element loop on the compiled kernel.
 
 The default time step is fixed, which keeps results deterministic and easy to
 compare across the golden simulation, the macromodel engine and the linear
-baselines.  Both paths agree to solver precision (well below 1e-9) on linear
-circuits; ``solver="legacy"`` reproduces the original per-iteration full
-Python assembly for benchmarking.
+baselines.  All paths agree to solver precision (well below 1e-9).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -36,9 +45,21 @@ from .dc import ConvergenceError, dc_operating_point, newton_solve
 from .elements import GROUND, StampContext, VoltageSource
 from .mna import assemble_legacy
 from .netlist import Circuit
-from .stamping import LinearTransientStepper, resolve_backend
+from .sources import SourceWaveform
+from .stamping import (
+    RETRY_RUNGS,
+    LinearTransientStepper,
+    NonlinearLaneStepper,
+    resolve_backend,
+)
 
-__all__ = ["TransientResult", "TransientStats", "build_time_axis", "transient"]
+__all__ = [
+    "TransientResult",
+    "TransientStats",
+    "build_time_axis",
+    "transient",
+    "transient_lanes",
+]
 
 _SOLVERS = ("auto", "fast", "newton", "legacy")
 
@@ -145,11 +166,14 @@ class TransientResult:
         return len(self.times) - 1
 
 
-def _collect_breakpoints(circuit: Circuit, t_stop: float) -> List[float]:
+def _collect_breakpoints(
+    circuit: Circuit, t_stop: float, waveforms: Optional[Mapping[str, SourceWaveform]] = None
+) -> List[float]:
     """Source breakpoints inside the simulation window (informational)."""
     points = set()
+    waveforms = waveforms or {}
     for element in circuit.elements:
-        waveform = getattr(element, "waveform", None)
+        waveform = waveforms.get(element.name, getattr(element, "waveform", None))
         if waveform is None:
             continue
         for t in waveform.t_interesting():
@@ -164,18 +188,20 @@ def build_time_axis(
     dt: float,
     *,
     include_breakpoints: bool = True,
+    waveforms: Optional[Mapping[str, SourceWaveform]] = None,
 ) -> np.ndarray:
     """The simulation time axis: a uniform grid plus source breakpoints.
 
     Shared between :func:`transient` and the reduced-order transient driver
     (:mod:`repro.reduction.circuit`), so full and reduced runs of the same
     circuit integrate over identical time points and can be compared
-    point-for-point.
+    point-for-point.  ``waveforms`` (``{source name: waveform}``) replaces
+    installed source waveforms, as a lane of :func:`transient_lanes` does.
     """
     num_steps = int(round(t_stop / dt))
     times = list(np.linspace(0.0, t_stop, num_steps + 1))
     if include_breakpoints:
-        breakpoints = _collect_breakpoints(circuit, t_stop)
+        breakpoints = _collect_breakpoints(circuit, t_stop, waveforms)
         if breakpoints:
             merged = np.unique(np.concatenate([np.array(times), np.array(breakpoints)]))
             # Drop points that are pathologically close to an existing one.
@@ -232,25 +258,19 @@ def transient(
         Insert source breakpoints into the time axis.
     solver:
         ``"auto"`` (default) takes the Newton-free LU-reuse fast path when
-        the circuit is linear and the Newton path otherwise; ``"fast"``
-        forces the fast path (raises :class:`ValueError` on nonlinear
-        circuits); ``"newton"`` forces the Newton path; ``"legacy"`` forces
-        the Newton path with the original per-iteration full Python assembly
-        (benchmark baseline).
+        the circuit is linear and the Newton path (the lane stepper, one
+        lane) otherwise; ``"fast"`` forces the fast path (raises
+        :class:`ValueError` on nonlinear circuits); ``"newton"`` forces the
+        Newton path; ``"legacy"`` forces the original per-iteration full
+        Python assembly and per-element state loop (benchmark baseline).
     """
-    if t_stop <= 0:
-        raise ValueError("t_stop must be positive")
-    if dt <= 0 or dt > t_stop:
-        raise ValueError("dt must be positive and smaller than t_stop")
-    if method not in ("trap", "be"):
-        raise ValueError("method must be 'trap' or 'be'")
+    _validate(t_stop, dt, method)
     if solver not in _SOLVERS:
         raise ValueError(f"solver must be one of {_SOLVERS}, got '{solver}'")
 
     circuit.prepare()
     kernel = circuit.kernel
-    n = kernel.n
-    resolved_backend = resolve_backend(backend, n)
+    resolved_backend = resolve_backend(backend, kernel.n)
     if solver == "legacy":
         # The legacy baseline is dense end to end -- initial DC operating
         # point included -- so benchmark comparisons against it never hide
@@ -269,33 +289,22 @@ def transient(
         )
     use_fast = solver == "fast" or (solver == "auto" and not nonlinear)
 
-    # --- time axis ----------------------------------------------------------
     times = build_time_axis(
         circuit, t_stop, dt, include_breakpoints=include_breakpoints
     )
+    x = _initial_state(circuit, x0, initial_conditions, uic, resolved_backend)
 
-    # --- initial condition ----------------------------------------------------
-    if x0 is not None:
-        x = np.array(x0, dtype=float, copy=True)
-        if x.shape != (n,):
-            raise ValueError(f"x0 has shape {x.shape}, expected ({n},)")
-    elif uic:
-        x = np.zeros(n)
-        for name, value in (initial_conditions or {}).items():
-            idx = circuit.node_index(name)
-            if idx != GROUND:
-                x[idx] = value
-    else:
-        dc = dc_operating_point(circuit, backend=resolved_backend)
-        x = np.array(dc.x, copy=True)
-        for name, value in (initial_conditions or {}).items():
-            idx = circuit.node_index(name)
-            if idx != GROUND:
-                x[idx] = value
+    if not use_fast and solver != "legacy" and kernel.array_state:
+        (result,) = _run_lanes(
+            circuit, times, x, [{}], solver=solver, method=method,
+            max_newton=max_newton, vtol=vtol, backend=resolved_backend,
+        )
+        if isinstance(result, Exception):
+            raise result
+        return result
 
-    solutions = np.zeros((len(times), n))
+    solutions = np.zeros((len(times), kernel.n))
     solutions[0] = x
-
     if use_fast:
         stats = _run_fast_path(
             circuit, times, x, solutions, method=method, backend=resolved_backend
@@ -318,6 +327,158 @@ def transient(
     return TransientResult(
         circuit, times, solutions, newton_iterations=stats.newton_iterations, stats=stats
     )
+
+
+def transient_lanes(
+    circuit: Circuit,
+    t_stop: float,
+    dt: float,
+    lanes: Sequence[Mapping[str, SourceWaveform]],
+    *,
+    method: str = "trap",
+    x0: Optional[np.ndarray] = None,
+    max_newton: int = 50,
+    vtol: float = 1e-6,
+    include_breakpoints: bool = True,
+    backend: str = "auto",
+) -> List[Union[TransientResult, Exception]]:
+    """Transients of one circuit under several source waveforms, in lockstep.
+
+    ``lanes`` holds one ``{source name: waveform}`` mapping per lane; the
+    named independent sources take those waveforms in that lane only.  All
+    lanes must produce the same time axis (source breakpoints included) and
+    share the initial state: ``x0``, or the DC operating point of the
+    circuit as built, so a lane's waveform must keep its source's DC value.
+
+    Returns one entry per lane: its :class:`TransientResult`, equal to
+    :func:`transient` with that lane's waveforms installed, or the
+    ``ConvergenceError`` / ``SingularMatrixError`` the lane failed with
+    (the other lanes are unaffected).  The lanes step through
+    :class:`~repro.circuit.stamping.NonlinearLaneStepper`, which raises
+    :class:`ValueError` for circuits whose elements keep state of their own.
+    """
+    _validate(t_stop, dt, method)
+    if not lanes:
+        return []
+    circuit.prepare()
+    resolved_backend = resolve_backend(backend, circuit.kernel.n)
+    for lane in lanes:
+        for name, waveform in lane.items():
+            installed = getattr(circuit[name], "waveform", None)
+            if installed is None or waveform.dc_value() != installed.dc_value():
+                raise ValueError(
+                    f"lane waveform of '{name}' must replace a source waveform "
+                    "with the same DC value"
+                )
+    times = build_time_axis(
+        circuit, t_stop, dt, include_breakpoints=include_breakpoints, waveforms=lanes[0]
+    )
+    for lane in lanes[1:]:
+        other = build_time_axis(
+            circuit, t_stop, dt, include_breakpoints=include_breakpoints, waveforms=lane
+        )
+        if not np.array_equal(other, times):
+            raise ValueError("lanes must share one time axis")
+    x = _initial_state(circuit, x0, None, False, resolved_backend)
+    return _run_lanes(
+        circuit, times, x, lanes, solver="auto", method=method,
+        max_newton=max_newton, vtol=vtol, backend=resolved_backend,
+    )
+
+
+def _validate(t_stop: float, dt: float, method: str) -> None:
+    if t_stop <= 0:
+        raise ValueError("t_stop must be positive")
+    if dt <= 0 or dt > t_stop:
+        raise ValueError("dt must be positive and smaller than t_stop")
+    if method not in ("trap", "be"):
+        raise ValueError("method must be 'trap' or 'be'")
+
+
+def _initial_state(
+    circuit: Circuit,
+    x0: Optional[np.ndarray],
+    initial_conditions: Optional[Dict[str, float]],
+    uic: bool,
+    backend: str,
+) -> np.ndarray:
+    """``x0``, the ``uic`` vector or the DC operating point, with overrides."""
+    n = circuit.kernel.n
+    if x0 is not None:
+        x = np.array(x0, dtype=float, copy=True)
+        if x.shape != (n,):
+            raise ValueError(f"x0 has shape {x.shape}, expected ({n},)")
+        return x
+    x = np.zeros(n) if uic else np.array(
+        dc_operating_point(circuit, backend=backend).x, copy=True
+    )
+    for name, value in (initial_conditions or {}).items():
+        idx = circuit.node_index(name)
+        if idx != GROUND:
+            x[idx] = value
+    return x
+
+
+def _run_lanes(
+    circuit: Circuit,
+    times: np.ndarray,
+    x: np.ndarray,
+    lanes: Sequence[Mapping[str, SourceWaveform]],
+    *,
+    solver: str,
+    method: str,
+    max_newton: int,
+    vtol: float,
+    backend: str,
+) -> List[Union[TransientResult, Exception]]:
+    """Step ``lanes`` through the lane stepper and wrap each lane's result."""
+    kernel = circuit.kernel
+    position = {id(e): index for index, e in enumerate(kernel.source_elements)}
+    waveforms = []
+    for lane in lanes:
+        mapping = {}
+        for name, waveform in lane.items():
+            index = position.get(id(circuit[name]))
+            if index is None:
+                raise ValueError(f"'{name}' is not an independent source")
+            mapping[index] = waveform
+        waveforms.append(mapping)
+    stepper = NonlinearLaneStepper(
+        kernel,
+        len(lanes),
+        method=method,
+        gmin=circuit.gmin,
+        backend=backend,
+        max_newton=max_newton,
+        vtol=vtol,
+        damping=circuit.is_nonlinear(),
+        waveforms=waveforms,
+    )
+    dts = [_quantize_dt(float(b - a)) for a, b in zip(times[:-1], times[1:])]
+    run = stepper.run(times, dts, x)
+    results: List[Union[TransientResult, Exception]] = []
+    for lane in range(len(lanes)):
+        error = run.errors[lane]
+        if error is not None:
+            results.append(error)
+            continue
+        iterations = int(run.newton_iterations[lane])
+        stats = TransientStats(
+            solver=solver,
+            backend=backend,
+            num_time_points=len(times) - 1,
+            newton_iterations=iterations,
+            assemblies_avoided=int(run.assemblies_avoided[lane]),
+            matrix_factorizations=iterations,  # one dense solve per iteration
+            rhs_builds=int(run.rhs_builds[lane]),
+            recoveries=run.recoveries[lane],
+        )
+        results.append(
+            TransientResult(
+                circuit, times, run.solutions[lane], newton_iterations=iterations, stats=stats
+            )
+        )
+    return results
 
 
 def _run_fast_path(
@@ -385,15 +546,6 @@ def _run_newton_path(
     total_newton = 0
     recoveries: List[str] = []
 
-    # Per-point retry rungs after plain (trapezoidal) Newton fails:
-    # backward Euler is more forgiving near sharp transitions, and a
-    # heavily damped backward Euler with a larger budget globalises the
-    # iteration when full steps oscillate.
-    retry_rungs = (
-        ("be", 2, 1.0),
-        ("be-damped", 4, 0.1),
-    )
-
     for step_index in range(1, len(times)):
         t = float(times[step_index])
         step_dt = _quantize_dt(float(times[step_index] - times[step_index - 1]))
@@ -418,7 +570,7 @@ def _run_newton_path(
                 backend=backend,
             )
         except ConvergenceError:
-            for rung_index, (rung, budget_scale, damping) in enumerate(retry_rungs):
+            for rung_index, (rung, budget_scale, damping) in enumerate(RETRY_RUNGS):
                 try:
                     x_new, iters = newton_solve(
                         circuit,
@@ -436,7 +588,7 @@ def _run_newton_path(
                         backend=backend,
                     )
                 except ConvergenceError:
-                    if rung_index == len(retry_rungs) - 1:
+                    if rung_index == len(RETRY_RUNGS) - 1:
                         raise
                     continue
                 recoveries.append(f"t={t:.4e}: {rung}")
