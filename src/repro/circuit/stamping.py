@@ -1332,7 +1332,9 @@ class NonlinearLaneStepper:
                 flat = (np.arange(rows)[:, None] * (kernel.n + 1) + self._cap_scatter).ravel()
                 self._cap_flat[rows] = flat
             z_ext = np.bincount(
-                flat, np.concatenate((ieq, -ieq), axis=1).ravel(), rows * (kernel.n + 1)
+                flat,
+                weights=np.concatenate((ieq, -ieq), axis=1).ravel(),
+                minlength=rows * (kernel.n + 1),
             )
             z = z + z_ext.reshape(rows, kernel.n + 1)[:, : kernel.n]
         else:
