@@ -1289,12 +1289,13 @@ class NonlinearLaneStepper:
     def _source_rhs(self, t: float, dt: float) -> np.ndarray:
         """Independent-source part of every lane's right-hand side at ``t``."""
         z = np.zeros((self.lanes, self.kernel.n))
-        ctx = StampContext(x=np.zeros(0), time=t, dt=dt, method=self.method, gmin=self.gmin)
+        ctx = None
         for element, per_lane in self._sources:
-            if per_lane is None:
-                value = element.value(ctx)
-            else:
+            if per_lane is not None:
                 value = np.array([waveform(t) for waveform in per_lane])
+            elif isinstance(element, (VoltageSource, CurrentSource)):
+                # ``value()`` scales by ``source_scale``, which is 1 here.
+                value = element.waveform(t)
             if isinstance(element, VoltageSource):
                 z[:, element.branch_indices[0]] += value
             elif isinstance(element, CurrentSource):
@@ -1304,6 +1305,9 @@ class NonlinearLaneStepper:
                 if b != GROUND:
                     z[:, b] += value
             else:
+                ctx = ctx or StampContext(
+                    x=np.zeros(0), time=t, dt=dt, method=self.method, gmin=self.gmin
+                )
                 for row in z:
                     element.stamp(_NULL_SINK, row, ctx)
         return z
