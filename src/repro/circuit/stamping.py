@@ -490,11 +490,17 @@ class CompiledKernel:
             (mosfets if compilable(element) else self.looped_nonlinear).append(element)
         self.mosfet_block = MOSFETBlock(mosfets, n) if mosfets else None
         #: True when all companion state fits the lane stepper's arrays: no
-        #: custom dynamic element and no nonlinear element with state of
-        #: its own (an ``update_state`` override).
-        self.array_state = not self._other_dynamic and all(
-            _defining_class(type(e), "update_state") is Element
-            for e in self.nonlinear_elements
+        #: custom dynamic element, no nonlinear element with state of its
+        #: own (an ``update_state`` override) and only plain voltage and
+        #: current sources, whose waveforms the stepper reads directly (a
+        #: subclass may re-declare the source partition over its own stamp).
+        self.array_state = (
+            not self._other_dynamic
+            and all(
+                _defining_class(type(e), "update_state") is Element
+                for e in self.nonlinear_elements
+            )
+            and all(type(e) in (VoltageSource, CurrentSource) for e in self.source_elements)
         )
 
         # --- static COO compile (one shot, reused by every base matrix) -----
@@ -1115,8 +1121,8 @@ class NonlinearLaneStepper:
     :func:`~repro.circuit.mna.solve_linear_system`; an injected singular
     system fails the whole run.  Nonlinear elements other than plain
     MOSFETs stamp themselves per lane with an empty ``prev_state``; circuits
-    whose elements keep state of their own (``kernel.array_state`` false)
-    are not supported.
+    with elements that keep state of their own or with custom source
+    elements (``kernel.array_state`` false) are not supported.
     """
 
     def __init__(
@@ -1135,7 +1141,8 @@ class NonlinearLaneStepper:
         if not kernel.array_state:
             raise ValueError(
                 "the lane stepper keeps companion state in arrays; circuit "
-                f"'{kernel.circuit.name}' has elements with state of their own"
+                f"'{kernel.circuit.name}' has elements with state of their own "
+                "or custom sources"
             )
         if backend not in ("dense", "sparse"):
             raise ValueError(
@@ -1157,13 +1164,10 @@ class NonlinearLaneStepper:
         # Per source: None (one value for every lane) or one waveform per lane.
         self._sources: List[Tuple[Element, Optional[list]]] = []
         for index, element in enumerate(kernel.source_elements):
-            if not any(index in lane for lane in waveforms):
-                self._sources.append((element, None))
-            elif isinstance(element, (VoltageSource, CurrentSource)):
+            per_lane = None
+            if any(index in lane for lane in waveforms):
                 per_lane = [lane.get(index, element.waveform) for lane in waveforms]
-                self._sources.append((element, per_lane))
-            else:
-                raise ValueError(f"source '{element.name}' has no waveform to vary per lane")
+            self._sources.append((element, per_lane))
 
         self._ind_branch = np.array([e.branch_indices[0] for e in kernel._inductors], dtype=int)
         self._ind_a = np.array(
@@ -1222,7 +1226,7 @@ class NonlinearLaneStepper:
                     break
                 t = float(times[step])
                 dt = dts[step - 1]
-                z_src = self._source_rhs(t, dt)
+                z_src = self._source_rhs(t)
                 # Rows of this attempt: every lane (a slice) or an index array.
                 sel = slice(None) if alive.size == B else alive
                 for rung, (name, method, scale, limit) in enumerate(attempts):
@@ -1286,30 +1290,23 @@ class NonlinearLaneStepper:
 
     # ------------------------------------------------------------ internals
 
-    def _source_rhs(self, t: float, dt: float) -> np.ndarray:
+    def _source_rhs(self, t: float) -> np.ndarray:
         """Independent-source part of every lane's right-hand side at ``t``."""
         z = np.zeros((self.lanes, self.kernel.n))
-        ctx = None
         for element, per_lane in self._sources:
-            if per_lane is not None:
-                value = np.array([waveform(t) for waveform in per_lane])
-            elif isinstance(element, (VoltageSource, CurrentSource)):
+            if per_lane is None:
                 # ``value()`` scales by ``source_scale``, which is 1 here.
                 value = element.waveform(t)
+            else:
+                value = np.array([waveform(t) for waveform in per_lane])
             if isinstance(element, VoltageSource):
                 z[:, element.branch_indices[0]] += value
-            elif isinstance(element, CurrentSource):
+            else:
                 a, b = element.nodes
                 if a != GROUND:
                     z[:, a] -= value
                 if b != GROUND:
                     z[:, b] += value
-            else:
-                ctx = ctx or StampContext(
-                    x=np.zeros(0), time=t, dt=dt, method=self.method, gmin=self.gmin
-                )
-                for row in z:
-                    element.stamp(_NULL_SINK, row, ctx)
         return z
 
     def _coefficient(self, dt: float, trap: bool) -> Tuple[np.ndarray, np.ndarray]:

@@ -25,8 +25,8 @@ Three execution paths share the same time axis and companion models:
 * ``solver="legacy"`` keeps the original per-iteration, per-element
   Python assembly and ``update_state`` loop unchanged as the benchmark
   baseline; circuits with elements the lane stepper cannot hold in arrays
-  (custom dynamic elements, nonlinear elements with state of their own)
-  take the same per-element loop on the compiled kernel.
+  (custom dynamic or source elements, nonlinear elements with state of
+  their own) take the same per-element loop on the compiled kernel.
 
 The default time step is fixed, which keeps results deterministic and easy to
 compare across the golden simulation, the macromodel engine and the linear
@@ -335,12 +335,7 @@ def transient_lanes(
     dt: float,
     lanes: Sequence[Mapping[str, SourceWaveform]],
     *,
-    method: str = "trap",
     x0: Optional[np.ndarray] = None,
-    max_newton: int = 50,
-    vtol: float = 1e-6,
-    include_breakpoints: bool = True,
-    backend: str = "auto",
 ) -> List[Union[TransientResult, Exception]]:
     """Transients of one circuit under several source waveforms, in lockstep.
 
@@ -351,17 +346,18 @@ def transient_lanes(
     circuit as built, so a lane's waveform must keep its source's DC value.
 
     Returns one entry per lane: its :class:`TransientResult`, equal to
-    :func:`transient` with that lane's waveforms installed, or the
+    :func:`transient` (default settings) with that lane's waveforms
+    installed, or the
     ``ConvergenceError`` / ``SingularMatrixError`` the lane failed with
     (the other lanes are unaffected).  The lanes step through
     :class:`~repro.circuit.stamping.NonlinearLaneStepper`, which raises
     :class:`ValueError` for circuits whose elements keep state of their own.
     """
-    _validate(t_stop, dt, method)
+    _validate(t_stop, dt, "trap")
     if not lanes:
         return []
     circuit.prepare()
-    resolved_backend = resolve_backend(backend, circuit.kernel.n)
+    backend = resolve_backend("auto", circuit.kernel.n)
     for lane in lanes:
         for name, waveform in lane.items():
             installed = getattr(circuit[name], "waveform", None)
@@ -370,20 +366,12 @@ def transient_lanes(
                     f"lane waveform of '{name}' must replace a source waveform "
                     "with the same DC value"
                 )
-    times = build_time_axis(
-        circuit, t_stop, dt, include_breakpoints=include_breakpoints, waveforms=lanes[0]
-    )
+    times = build_time_axis(circuit, t_stop, dt, waveforms=lanes[0])
     for lane in lanes[1:]:
-        other = build_time_axis(
-            circuit, t_stop, dt, include_breakpoints=include_breakpoints, waveforms=lane
-        )
-        if not np.array_equal(other, times):
+        if not np.array_equal(build_time_axis(circuit, t_stop, dt, waveforms=lane), times):
             raise ValueError("lanes must share one time axis")
-    x = _initial_state(circuit, x0, None, False, resolved_backend)
-    return _run_lanes(
-        circuit, times, x, lanes, solver="auto", method=method,
-        max_newton=max_newton, vtol=vtol, backend=resolved_backend,
-    )
+    x = _initial_state(circuit, x0, None, False, backend)
+    return _run_lanes(circuit, times, x, lanes, backend=backend)
 
 
 def _validate(t_stop: float, dt: float, method: str) -> None:
@@ -425,11 +413,11 @@ def _run_lanes(
     x: np.ndarray,
     lanes: Sequence[Mapping[str, SourceWaveform]],
     *,
-    solver: str,
-    method: str,
-    max_newton: int,
-    vtol: float,
     backend: str,
+    solver: str = "auto",
+    method: str = "trap",
+    max_newton: int = 50,
+    vtol: float = 1e-6,
 ) -> List[Union[TransientResult, Exception]]:
     """Step ``lanes`` through the lane stepper and wrap each lane's result."""
     kernel = circuit.kernel

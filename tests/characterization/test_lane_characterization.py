@@ -3,6 +3,8 @@
 NRC bisection runs speculatively (several bisection-tree levels per round of
 lanes) and propagation tables run the heights of one width as lanes; both
 must reproduce the serial, one-transient-per-point procedure they replaced.
+The oracles step every glitch through the per-element Newton loop
+(``_run_newton_path``), not through the lane stepper under test.
 """
 
 import numpy as np
@@ -15,7 +17,8 @@ from repro.characterization import (
 )
 from repro.characterization.nrc import _bisect, _midpoints
 from repro.characterization.propagation import DEFAULT_GLITCH_DELAY, _GlitchBench
-from repro.circuit import TriangularGlitch, transient
+from repro.circuit import TriangularGlitch
+from repro.circuit.transient import TransientResult, _run_newton_path, build_time_axis
 from repro.technology import build_default_library
 from repro.units import fF, ps
 
@@ -34,16 +37,35 @@ def rising_arc(cell):
     return next((a for a in arcs if a.glitch_rising), arcs[0])
 
 
+def per_element_glitch(bench, height, width, dt, x0):
+    """One glitch on its own, stepped through the per-element Newton loop."""
+    circuit = bench.circuit
+    circuit[bench.source_name].waveform = TriangularGlitch(
+        baseline=bench.quiet_level,
+        height=bench.direction * height,
+        delay=DEFAULT_GLITCH_DELAY,
+        rise=0.5 * width,
+        fall=0.5 * width,
+    )
+    t_stop = DEFAULT_GLITCH_DELAY + 4.0 * width + 300e-12
+    times = build_time_axis(circuit, t_stop, dt)
+    solutions = np.zeros((len(times), circuit.kernel.n))
+    solutions[0] = x0
+    _run_newton_path(
+        circuit, times, x0, solutions, method="trap", max_newton=50, vtol=1e-6, legacy=False
+    )
+    out = TransientResult(circuit, times, solutions)["out"]
+    return out.glitch_metrics(baseline=bench.vdd if bench.arc.output_high else 0.0)
+
+
 def serial_nrc_heights(cell, technology, *, dt, load_capacitance=10e-15):
-    """The serial bisection: one ``simulate_propagated_glitch`` per height."""
+    """The serial bisection: one per-element transient per height."""
     vdd = technology.vdd
-    arc = rising_arc(cell)
+    bench = _GlitchBench.build(cell, technology, rising_arc(cell), load_capacitance)
+    x0 = bench.operating_point()
 
     def upset(height, width):
-        _, metrics = simulate_propagated_glitch(
-            cell, technology, arc, glitch_height=height, glitch_width=width,
-            load_capacitance=load_capacitance, dt=dt,
-        )
+        metrics = per_element_glitch(bench, height, width, dt, x0)
         return abs(metrics.peak) >= 0.5 * vdd
 
     heights = []
@@ -117,20 +139,6 @@ class TestSpeculativeBisection:
         assert _midpoints(0.0, 1.0, 0.6, 3) == [0.5]
 
 
-def serial_table_point(bench, height, width, dt, x0):
-    """One table entry the way it was computed before lanes: its own transient."""
-    bench.circuit[bench.source_name].waveform = TriangularGlitch(
-        baseline=bench.quiet_level,
-        height=bench.direction * height,
-        delay=DEFAULT_GLITCH_DELAY,
-        rise=0.5 * width,
-        fall=0.5 * width,
-    )
-    t_stop = DEFAULT_GLITCH_DELAY + 4.0 * width + 300e-12
-    out = transient(bench.circuit, t_stop=t_stop, dt=dt, x0=x0)["out"]
-    return out.glitch_metrics(baseline=bench.vdd if bench.arc.output_high else 0.0)
-
-
 def test_propagation_table_matches_one_transient_per_point(library):
     cell = library["NAND2_X1"]
     tech = library.technology
@@ -144,7 +152,7 @@ def test_propagation_table_matches_one_transient_per_point(library):
     x0 = bench.operating_point()
     for i, height in enumerate(heights):
         for j, width in enumerate(widths):
-            metrics = serial_table_point(bench, height, width, DT, x0)
+            metrics = per_element_glitch(bench, height, width, DT, x0)
             assert abs(table.output_peak[i, j] - metrics.peak) <= 1e-12
             assert abs(abs(table.output_area[i, j]) - metrics.area) <= 1e-12
             assert abs(table.output_width[i, j] - metrics.width) <= 1e-12
@@ -158,6 +166,6 @@ def test_single_glitch_equals_its_own_transient(library):
         cell, tech, arc, glitch_height=0.9, glitch_width=ps(120), load_capacitance=fF(10), dt=DT
     )
     bench = _GlitchBench.build(cell, tech, arc, fF(10))
-    reference = serial_table_point(bench, 0.9, ps(120), DT, None)
+    reference = per_element_glitch(bench, 0.9, ps(120), DT, bench.operating_point())
     assert metrics.peak == reference.peak
     assert metrics.area == reference.area

@@ -29,7 +29,14 @@ from repro.circuit import mna
 from repro.circuit.elements import BehavioralCurrentSource, Diode, StampContext
 from repro.circuit.mosfet import AlphaPowerModel, Level1Model, MOSFETBlock
 from repro.circuit.stamping import SingularMatrixError, compilable
-from repro.circuit.transient import _run_newton_path, build_time_axis, transient_lanes
+from repro.circuit.stamping import resolve_backend
+from repro.circuit.transient import (
+    _initial_state,
+    _run_lanes,
+    _run_newton_path,
+    build_time_axis,
+    transient_lanes,
+)
 from repro.experiments import figure1_cluster
 from repro.resilience import resilient_analyze
 from repro.technology import build_default_library, get_technology
@@ -64,6 +71,15 @@ def glitch(height, width=ps(4)):
 
 def lanes_for(heights, width=ps(4)):
     return [{"VIN": glitch(h, width)} for h in heights]
+
+
+def run_lanes(circuit, lanes, *, x0=None, max_newton=50, backend="auto"):
+    """:func:`transient_lanes` over 200 ps with a chosen Newton budget and backend."""
+    circuit.prepare()
+    backend = resolve_backend(backend, circuit.kernel.n)
+    times = build_time_axis(circuit, ps(200), ps(4), waveforms=lanes[0])
+    x = _initial_state(circuit, x0, None, False, backend)
+    return _run_lanes(circuit, times, x, lanes, backend=backend, max_newton=max_newton)
 
 
 def run_alone(height, width=ps(4), **kwargs):
@@ -238,7 +254,7 @@ class TestCompileGuard:
 
 class TestLanesMatchLoneRuns:
     def test_waveforms_iterations_and_recoveries(self):
-        results = transient_lanes(inverter(), ps(200), ps(4), lanes_for(HEIGHTS), max_newton=4)
+        results = run_lanes(inverter(), lanes_for(HEIGHTS), max_newton=4)
         recovering = [r for r in results if r.stats.recoveries]
         assert len(recovering) == 1, "exactly one lane needs the be rung"
         assert recovering[0].stats.recoveries[0].endswith(": be")
@@ -250,9 +266,7 @@ class TestLanesMatchLoneRuns:
             assert lane.stats.matrix_factorizations == alone.stats.matrix_factorizations
 
     def test_a_failing_lane_leaves_the_others_untouched(self):
-        results = transient_lanes(
-            inverter(), ps(200), ps(4), lanes_for(HEIGHTS, ps(10)), max_newton=2
-        )
+        results = run_lanes(inverter(), lanes_for(HEIGHTS, ps(10)), max_newton=2)
         assert isinstance(results[2], ConvergenceError)
         with pytest.raises(ConvergenceError):
             run_alone(HEIGHTS[2], ps(10), max_newton=2)
@@ -266,9 +280,7 @@ class TestLanesMatchLoneRuns:
         lanes_circuit.prepare()
         x0 = dc_operating_point(lanes_circuit).x
         before = lanes_circuit.kernel.stats.snapshot()
-        results = transient_lanes(
-            lanes_circuit, ps(200), ps(4), lanes_for(HEIGHTS), max_newton=4, x0=x0
-        )
+        results = run_lanes(lanes_circuit, lanes_for(HEIGHTS), x0=x0, max_newton=4)
         lanes_delta = lanes_circuit.kernel.stats.delta_since(before)
 
         serial = inverter()
@@ -336,8 +348,8 @@ class TestLanesMatchLoneRuns:
         assert np.max(np.abs(newton.solutions - legacy.solutions)) < 1e-9
 
     def test_sparse_lanes_match_dense_lanes(self):
-        dense = transient_lanes(inverter(), ps(200), ps(4), lanes_for(HEIGHTS), backend="dense")
-        sparse = transient_lanes(inverter(), ps(200), ps(4), lanes_for(HEIGHTS), backend="sparse")
+        dense = run_lanes(inverter(), lanes_for(HEIGHTS), backend="dense")
+        sparse = run_lanes(inverter(), lanes_for(HEIGHTS), backend="sparse")
         for a, b in zip(dense, sparse):
             assert np.max(np.abs(a.solutions - b.solutions)) < 1e-9
 
@@ -399,6 +411,29 @@ class TestLaneStepperScope:
         assert np.max(np.abs(auto.solutions - legacy.solutions)) < 1e-9
         # ... while lanes, which hold all state in arrays, refuse them.
         with pytest.raises(ValueError, match="state of their own"):
+            transient_lanes(circuit, ps(200), ps(4), lanes_for(HEIGHTS))
+
+    def test_custom_sources_keep_the_per_element_loop(self):
+        from repro.circuit import CurrentSource
+
+        class DoubledSource(CurrentSource):
+            """Claims the source partition for its own, doubled value."""
+
+            def partition(self):
+                return "source"
+
+            def value(self, ctx):
+                return 2.0 * super().value(ctx)
+
+        circuit = inverter(extra=(DoubledSource("IX", "0", "out", 2e-5),))
+        circuit.prepare()
+        assert circuit["IX"] in circuit.kernel.source_elements
+        assert not circuit.kernel.array_state
+        circuit["VIN"].waveform = glitch(0.6)
+        auto = transient(circuit, ps(200), ps(4))
+        legacy = transient(circuit, ps(200), ps(4), solver="legacy")
+        assert np.max(np.abs(auto.solutions - legacy.solutions)) < 1e-9
+        with pytest.raises(ValueError, match="custom sources"):
             transient_lanes(circuit, ps(200), ps(4), lanes_for(HEIGHTS))
 
     def test_setting_gds_min_recompiles_the_block(self):
