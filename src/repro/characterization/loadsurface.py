@@ -20,8 +20,9 @@ stamp the non-linear VCCS at every Newton iteration.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -78,10 +79,15 @@ class VCCSLoadSurface:
         object.__setattr__(self, "vin_grid", vin)
         object.__setattr__(self, "vout_grid", vout)
         object.__setattr__(self, "current", cur)
+        # Python-list twins of the grids for the per-query cell search (not
+        # dataclass fields: equality, hashing and the disk format ignore them).
+        object.__setattr__(self, "_vin_points", vin.tolist())
+        object.__setattr__(self, "_vout_points", vout.tolist())
 
     # ------------------------------------------------------------ interpolation
 
-    def _locate(self, grid: np.ndarray, value: float) -> Tuple[int, float]:
+    @staticmethod
+    def _locate(grid: List[float], value: float) -> Tuple[int, float]:
         """Cell index and fractional position of ``value`` in ``grid``.
 
         The index is clamped to the boundary cells but the fractional
@@ -90,9 +96,14 @@ class VCCSLoadSurface:
         the surface's output conductance non-zero outside the table, which is
         both closer to the device physics (the channel current keeps growing
         with overdrive) and essential for Newton stability in the engines.
+
+        ``bisect_left`` on the cached point list is
+        ``np.searchsorted(side="left")`` without the array round trip; NaN
+        sorts last, as it does for ``searchsorted``.
         """
-        idx = int(np.searchsorted(grid, value) - 1)
-        idx = max(0, min(idx, grid.size - 2))
+        size = len(grid)
+        idx = bisect_left(grid, value) - 1 if value == value else size - 1
+        idx = max(0, min(idx, size - 2))
         span = grid[idx + 1] - grid[idx]
         frac = (value - grid[idx]) / span
         return idx, frac
@@ -103,8 +114,8 @@ class VCCSLoadSurface:
         Inside the grid this is plain bilinear interpolation; outside it the
         edge cell is extended linearly (see :meth:`_locate`).
         """
-        i_idx, fu = self._locate(self.vin_grid, vin)
-        j_idx, fv = self._locate(self.vout_grid, vout)
+        i_idx, fu = self._locate(self._vin_points, vin)
+        j_idx, fv = self._locate(self._vout_points, vout)
         f00 = self.current[i_idx, j_idx]
         f10 = self.current[i_idx + 1, j_idx]
         f01 = self.current[i_idx, j_idx + 1]
@@ -115,8 +126,8 @@ class VCCSLoadSurface:
             + f01 * (1 - fu) * fv
             + f11 * fu * fv
         )
-        dvin_span = self.vin_grid[i_idx + 1] - self.vin_grid[i_idx]
-        dvout_span = self.vout_grid[j_idx + 1] - self.vout_grid[j_idx]
+        dvin_span = self._vin_points[i_idx + 1] - self._vin_points[i_idx]
+        dvout_span = self._vout_points[j_idx + 1] - self._vout_points[j_idx]
         d_du = ((f10 - f00) * (1 - fv) + (f11 - f01) * fv) / dvin_span
         d_dv = ((f01 - f00) * (1 - fu) + (f11 - f10) * fu) / dvout_span
         return float(value), float(d_du), float(d_dv)

@@ -43,7 +43,6 @@ from .dc import dc_operating_point
 from .elements import GROUND
 from .netlist import Circuit
 from .stamping import (
-    _BASE_CACHE_SIZE,
     LinearSolver,
     LinearTransientStepper,
     SparseLinearSolver,
@@ -67,6 +66,13 @@ __all__ = [
 
 #: Valid values of every ``batching=`` parameter.
 BATCHING_MODES = ("auto", "off")
+
+#: Default :class:`FactorizationCache` bounds.  4096 entries hold the two
+#: engine factorizations per cluster of a 2048-net design; 64 MiB is about
+#: 13k dense factors of a ~25-node coupled-pi macromodel, or a few dozen
+#: sparse factors of ``reduction="full"`` networks with thousands of nodes.
+SESSION_CACHE_ENTRIES = 4096
+SESSION_CACHE_BYTES = 64 * 2**20
 
 
 @dataclass
@@ -115,11 +121,19 @@ class FactorizationCache:
     owns one instance and threads it through every engine and batched
     solver it creates; sweep workers expose the counters through
     ``SweepHealth``.
+
+    The default bounds hold a design's working set -- every cluster of a
+    design run needs two engine factorizations (DC and transient), and an
+    LRU smaller than the working set evicts each entry before its rerun
+    asks for it -- while ``max_bytes`` (summed ``solver.nbytes``) keeps a
+    few large sparse factors from holding unbounded memory.
     """
 
-    def __init__(self, max_entries: int = _BASE_CACHE_SIZE):
+    def __init__(self, max_entries: int = SESSION_CACHE_ENTRIES):
         self.max_entries = max_entries
+        self.max_bytes = SESSION_CACHE_BYTES
         self._entries: "OrderedDict[tuple, object]" = OrderedDict()
+        self._bytes = 0
         self._lock = threading.Lock()
         #: Factorizations built and admitted (one per distinct matrix seen).
         self.entries_created = 0
@@ -136,7 +150,8 @@ class FactorizationCache:
         """The cached solver for ``key``, building (and admitting) on miss.
 
         Returns ``(solver, hit)``; ``hit`` is True when the factorization
-        was served from the cache.
+        was served from the cache.  Admission evicts least-recently-used
+        entries until both bounds hold again (the new entry always stays).
         """
         with self._lock:
             solver = self._entries.get(key)
@@ -146,8 +161,12 @@ class FactorizationCache:
                 return solver, True
             solver = build()
             self._entries[key] = solver
-            if len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
+            self._bytes += getattr(solver, "nbytes", 0)
+            while len(self._entries) > 1 and (
+                len(self._entries) > self.max_entries or self._bytes > self.max_bytes
+            ):
+                _, evicted = self._entries.popitem(last=False)
+                self._bytes -= getattr(evicted, "nbytes", 0)
             self.entries_created += 1
             return solver, False
 

@@ -129,11 +129,12 @@ RETRY_RUNGS = (
 )
 
 try:  # SciPy is optional: fall back to a cached inverse when missing.
-    from scipy.linalg import lu_factor as _lu_factor, lu_solve as _lu_solve
+    from scipy.linalg import get_lapack_funcs as _get_lapack_funcs
+    from scipy.linalg import lu_factor as _lu_factor
 
     _HAVE_SCIPY_LU = True
 except ImportError:  # pragma: no cover - exercised only on scipy-less installs
-    _lu_factor = _lu_solve = None
+    _get_lapack_funcs = _lu_factor = None
     _HAVE_SCIPY_LU = False
 
 try:  # The sparse backend needs scipy.sparse; "auto" degrades to dense.
@@ -230,18 +231,37 @@ class LinearSolver:
     ``numpy.linalg.inv(A)`` so repeated solves stay :math:`O(n^2)`.
     """
 
-    __slots__ = ("_lu", "_inv")
+    __slots__ = ("_lu", "_piv", "_getrs", "_inv")
 
     def __init__(self, A: np.ndarray):
-        self._lu = None
-        self._inv = None
+        self._lu = self._piv = self._getrs = self._inv = None
         try:
             if _HAVE_SCIPY_LU:
-                self._lu = _lu_factor(A)
+                self._lu, self._piv = _lu_factor(A)
+                # The LAPACK routine scipy.linalg.lu_solve ends in, fetched
+                # once: calling it directly skips lu_solve's argument
+                # checks and batching wrapper, which cost ten times the
+                # back-substitution itself on a noise cluster's ~25 unknowns.
+                (self._getrs,) = _get_lapack_funcs(("getrs",), (self._lu,))
             else:
                 self._inv = np.linalg.inv(A)
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise SingularMatrixError(str(exc)) from exc
+
+    def __getstate__(self):
+        # LAPACK routine handles do not pickle; refetch them on load.
+        return self._lu, self._piv, self._inv
+
+    def __setstate__(self, state) -> None:
+        self._lu, self._piv, self._inv = state
+        self._getrs = None
+        if self._lu is not None:
+            (self._getrs,) = _get_lapack_funcs(("getrs",), (self._lu,))
+
+    @property
+    def nbytes(self) -> int:
+        """Memory held by the factors (the cache's eviction weight)."""
+        return sum(a.nbytes for a in (self._lu, self._piv, self._inv) if a is not None)
 
     def solve(self, z: np.ndarray) -> np.ndarray:
         """Solve for one right-hand side (1-D) or a stacked block (n x k).
@@ -249,14 +269,16 @@ class LinearSolver:
         A 2-D ``z`` is solved column-by-column inside one LAPACK call --
         the primitive the batched transient core builds on.
         """
-        if self._lu is not None:
+        if self._getrs is not None:
             # The factors were validated at factor time and the solution is
-            # checked below; re-scanning the n^2 factor block every solve
-            # (check_finite's default) would cost as much as the solve.
-            x = _lu_solve(self._lu, z, check_finite=False)
+            # checked below, so no input scan is needed (lu_solve's
+            # check_finite would re-scan the n^2 factor block every solve).
+            x, info = self._getrs(self._lu, self._piv, z)
+            if info != 0:
+                raise ValueError(f"illegal value in argument {-info} of getrs")
         else:
             x = self._inv @ z
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise SingularMatrixError("solution contains non-finite values")
         return x
 
@@ -278,10 +300,15 @@ class SparseLinearSolver:
         except (RuntimeError, ValueError) as exc:
             raise SingularMatrixError(str(exc)) from exc
 
+    @property
+    def nbytes(self) -> int:
+        """Approximate memory of the L+U factors (values, row indices, perms)."""
+        return 12 * self._lu.nnz + 8 * self._lu.shape[0]
+
     def solve(self, z: np.ndarray) -> np.ndarray:
         """Solve for one right-hand side (1-D) or a stacked block (n x k)."""
         x = self._lu.solve(z)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise SingularMatrixError("solution contains non-finite values")
         return x
 

@@ -12,12 +12,12 @@ is exactly the comparison the paper makes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..characterization.characterizer import LibraryCharacterizer
 from ..characterization.loadsurface import VCCSLoadSurface
 from ..characterization.thevenin import TheveninDriverModel
+from ..circuit.netlist import Circuit
 from ..interconnect.pimodel import CoupledPiModel, reduce_to_coupled_pi
 from ..interconnect.rcnetwork import CoupledRCNetwork, build_coupled_rc_network
 from ..technology.cells import NoiseArc, StandardCell
@@ -61,6 +61,7 @@ class ClusterModelBuilder:
         self._full_network: Optional[CoupledRCNetwork] = None
         self._reduced_model: Optional[CoupledPiModel] = None
         self._reduced_network: Optional[CoupledRCNetwork] = None
+        self._capacitance_totals: Optional[Tuple[dict, dict]] = None
 
     # ------------------------------------------------------------------ victim
 
@@ -155,13 +156,39 @@ class ClusterModelBuilder:
         counts it fully; the aggressor Thevenin fit uses the builder's
         ``coupling_switching_factor`` instead).  The receiver input
         capacitance is already folded into the network's ground capacitance.
+
+        The sums equal ``total_ground_cap(net)`` and the per-pair
+        ``total_coupling_cap(net, other)`` over ``net_names`` bit for bit:
+        each total adds its elements in network order, and the pairs are
+        added in ``net_names`` order.
         """
-        network = self.full_network()
-        return network.total_ground_cap(net) + coupling_factor * sum(
-            network.total_coupling_cap(net, other)
-            for other in network.net_names
+        ground, coupling = self._net_capacitance_totals()
+        return ground.get(net, 0.0) + coupling_factor * sum(
+            coupling.get(frozenset((net, other)), 0.0)
+            for other in self.full_network().net_names
             if other != net
         )
+
+    def _net_capacitance_totals(self):
+        """Per-net ground and per-net-pair coupling capacitance, in one pass."""
+        if self._capacitance_totals is None:
+            network = self.full_network()
+            ground: Dict[Optional[str], float] = {}
+            coupling: Dict[frozenset, float] = {}
+            for element in network.elements:
+                if element.kind != "C":
+                    continue
+                a = Circuit.canonical_node_name(element.node_a)
+                b = Circuit.canonical_node_name(element.node_b)
+                if a == "0" or b == "0":
+                    net = network.node_net.get(a if b == "0" else b)
+                    ground[net] = ground.get(net, 0.0) + element.value
+                    continue
+                nets = frozenset((network.node_net.get(a), network.node_net.get(b)))
+                if len(nets) == 2:
+                    coupling[nets] = coupling.get(nets, 0.0) + element.value
+            self._capacitance_totals = ground, coupling
+        return self._capacitance_totals
 
     def aggressor_thevenin(self, aggressor: AggressorSpec) -> TheveninDriverModel:
         """The fitted Thevenin model of an aggressor driver."""

@@ -18,16 +18,36 @@ engine has no branch currents, pre-assembles the constant part of the
 Jacobian once per time step size, and evaluates only the few non-linear
 sources per Newton iteration -- this is where the paper's reported speed-up
 over full circuit simulation comes from.
+
+A coupled-pi macromodel has about 25 unknowns, so each Newton iteration is
+a few microseconds of arithmetic wrapped in call overhead, and the loop is
+written to keep that overhead small without touching the arithmetic:
+
+* the constant base ``G + (2/dt) C`` is factorised once per run (or taken
+  from a session :class:`~repro.circuit.batched.FactorizationCache`) and
+  back-substituted with LAPACK ``getrs`` called directly
+  (:class:`~repro.circuit.stamping.LinearSolver`);
+* the nonlinear sources enter as a rank-k Woodbury correction whose k x k
+  system goes straight to LAPACK ``gesv`` (``_corrected_solve``);
+* the time-dependent sources are tabulated once per run over the time axis
+  (:meth:`MacromodelNetwork.source_table`).
+
+Waveforms, DC points and every :class:`EngineStatistics` counter are equal
+byte for byte to the straightforward loop (``lu_solve``,
+``np.linalg.solve``, ``source_vector`` per step), which
+``tests/noise/reference_engine.py`` keeps as the differential oracle.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
 from .. import faults
 from ..circuit.batched import FactorizationCache
@@ -44,7 +64,12 @@ from ..characterization.thevenin import TheveninDriverModel
 from ..interconnect.rcnetwork import CoupledRCNetwork
 from ..waveform import Waveform
 
-__all__ = ["MacromodelNetwork", "DedicatedNoiseEngine", "EngineStatistics"]
+__all__ = [
+    "MacromodelNetwork",
+    "DedicatedNoiseEngine",
+    "EngineStatistics",
+    "fixed_step_axis",
+]
 
 
 #: Type of a non-linear source callback: ``func(t, v) -> (i_injected, di/dv)``.
@@ -231,6 +256,26 @@ class MacromodelNetwork:
                 vector[node] += source(t)
         return vector
 
+    def source_table(self, times: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`source_vector` at every time of ``times``, driven nodes only.
+
+        Returns ``(nodes, table)``: ``table[i, j]`` is the current injected
+        into ``nodes[j]`` at ``times[i]``, summed source by source in the
+        order :meth:`source_vector` uses, so ``source_vector(times[i])``
+        equals ``table[i]`` at ``nodes`` bit for bit and is zero elsewhere.
+        The table holds one column per distinct driven node, not one per
+        network node, so large ``reduction="full"`` networks stay cheap.
+        """
+        columns: Dict[int, int] = {}
+        for node, _ in self._sources:
+            if node >= 0:
+                columns.setdefault(node, len(columns))
+        table = np.zeros((len(times), len(columns)))
+        for node, source in self._sources:
+            if node >= 0:
+                table[:, columns[node]] += [source(t) for t in times]
+        return np.array(list(columns), dtype=int), table
+
     @property
     def time_sources(self) -> List[Tuple[int, TimeSource]]:
         """Node-index / callable pairs of the time-dependent current sources.
@@ -251,6 +296,36 @@ class MacromodelNetwork:
             f"{len(self._conductances)} G, {len(self._capacitances)} C, "
             f"{len(self._sources)} sources, {len(self._nonlinear)} non-linear)"
         )
+
+
+def fixed_step_axis(t_stop: float, dt: float) -> Tuple[np.ndarray, float]:
+    """The uniform time axis of a fixed-step run and the step that spans it.
+
+    The axis has ``round(t_stop / dt)`` equal steps ending at ``t_stop``.
+    When ``dt`` does not divide ``t_stop``, integrating with ``dt`` while
+    reporting on that axis would stretch the waveform in time, so the axis
+    step ``t_stop / num_steps`` is returned instead.  Within a relative
+    1e-9 of an exact fit ``dt`` itself is kept: runs whose ``dt`` divides
+    ``t_stop`` up to rounding keep their companion matrices, and with them
+    their factorization cache keys, bit for bit.
+    """
+    num_steps = int(round(t_stop / dt))
+    times = np.linspace(0.0, t_stop, num_steps + 1)
+    if abs(num_steps * dt - t_stop) > 1e-9 * t_stop:
+        dt = t_stop / num_steps
+    return times, dt
+
+
+class _NewtonBasis(NamedTuple):
+    """Per-run constants of the rank-k corrected solve (see ``_corrected_solve``)."""
+
+    solver: object
+    base: object
+    nodes: np.ndarray
+    W: np.ndarray
+    W_nodes: np.ndarray
+    identity: np.ndarray
+    gesv: Callable
 
 
 @dataclass
@@ -376,22 +451,25 @@ class DedicatedNoiseEngine:
             self.statistics.matrix_factorizations += 1
         return solver
 
-    def _basis_columns(self, solver, nodes: np.ndarray) -> np.ndarray:
-        """``A^-1 E`` for the identity columns at the nonlinear nodes.
+    def _newton_basis(self, solver, base, nodes: np.ndarray) -> "_NewtonBasis":
+        """The per-run constants of the rank-k corrected solve through ``base``.
 
-        One stacked multi-RHS solve for all nonlinear nodes at once -- the
-        per-iteration Woodbury correction then needs only a k x k solve.
+        ``W = A^-1 E`` for the identity columns at the nonlinear nodes comes
+        from one stacked multi-RHS solve for all nonlinear nodes at once --
+        the per-iteration Woodbury correction then needs only a k x k solve.
         """
         n = self.network.num_nodes
-        if not nodes.size:
-            return np.zeros((n, 0))
-        E = np.zeros((n, nodes.size))
-        E[nodes, np.arange(nodes.size)] = 1.0
-        W = np.asarray(solver.solve(E))
-        self.statistics.batched_solves += 1
-        if self.solver_cache is not None:
-            self.solver_cache.record_stacked_solves()
-        return W
+        W = np.zeros((n, 0))
+        if nodes.size:
+            E = np.zeros((n, nodes.size))
+            E[nodes, np.arange(nodes.size)] = 1.0
+            W = np.asarray(solver.solve(E))
+            self.statistics.batched_solves += 1
+            if self.solver_cache is not None:
+                self.solver_cache.record_stacked_solves()
+        identity = np.eye(nodes.size)
+        (gesv,) = get_lapack_funcs(("gesv",), (identity,))
+        return _NewtonBasis(solver, base, nodes, W, W[nodes, :], identity, gesv)
 
     def _explicit_jacobian(self, base, nodes: np.ndarray, didv: np.ndarray):
         """``base`` minus the diagonal di/dv correction, assembled explicitly."""
@@ -405,41 +483,64 @@ class DedicatedNoiseEngine:
         return (base + delta).tocsc()
 
     def _corrected_solve(
-        self,
-        solver,
-        W: np.ndarray,
-        base,
-        nodes: np.ndarray,
-        didv: np.ndarray,
-        rhs: np.ndarray,
-    ) -> np.ndarray:
+        self, basis: "_NewtonBasis", didv: np.ndarray, rhs: np.ndarray
+    ) -> Tuple[np.ndarray, float]:
         """Solve ``(A - E diag(didv) E^T) x = rhs`` through ``A``'s factors.
 
         Woodbury identity in the form that tolerates ``didv = 0`` entries:
         with ``y = A^-1 rhs`` and ``W = A^-1 E``, solve the k x k system
         ``(I - diag(didv) W_kk) u = didv * y_k`` and return ``y + W u``.
         When the k x k system is itself singular (a table-VCCS corner can
-        cancel the diagonal exactly), fall back to assembling the corrected
-        Jacobian and solving it directly.
+        cancel the diagonal exactly; LAPACK ``gesv`` reports ``info > 0``),
+        fall back to assembling the corrected Jacobian and solving it
+        directly.  Returns ``x`` with ``max |x|``, which doubles as the
+        finite check here and as the Newton step size for damping.
         """
-        y = solver.solve(rhs)
-        if not nodes.size or not np.any(didv):
-            return y
-        m = np.eye(nodes.size) - didv[:, np.newaxis] * W[nodes, :]
-        try:
-            u = np.linalg.solve(m, didv * y[nodes])
-            x = y + W @ u
-        except np.linalg.LinAlgError:
-            x = None
-        if x is not None and np.all(np.isfinite(x)):
-            return x
-        return solve_linear_system(self._explicit_jacobian(base, nodes, didv), rhs)
+        y = basis.solver.solve(rhs)
+        if np.count_nonzero(didv):
+            m = basis.identity - didv[:, np.newaxis] * basis.W_nodes
+            _, _, u, info = basis.gesv(m, didv * y[basis.nodes])
+            if info == 0:
+                x = y + basis.W @ u
+                max_dx = float(np.abs(x).max())
+                if math.isfinite(max_dx):
+                    return x, max_dx
+            y = solve_linear_system(
+                self._explicit_jacobian(basis.base, basis.nodes, didv), rhs
+            )
+        return y, float(np.abs(y).max()) if y.size else 0.0
 
-    @staticmethod
-    def _nonlinear_support(nonlinear) -> Tuple[np.ndarray, Dict[int, int]]:
-        """Distinct non-ground nonlinear nodes and their correction slots."""
-        nodes = sorted({node for node, _ in nonlinear if node >= 0})
-        return np.array(nodes, dtype=int), {node: i for i, node in enumerate(nodes)}
+    def _newton_step(
+        self, basis: "_NewtonBasis", nonlinear, t: float, v: np.ndarray, residual: np.ndarray
+    ) -> float:
+        """One damped Newton update of ``v`` in place; returns ``max |dv|``.
+
+        ``residual`` is the linear part of the residual at ``v``; the
+        nonlinear sources are evaluated at ``v`` and folded into it and
+        into the rank-k Jacobian correction.
+        """
+        didv_sum = np.zeros(basis.nodes.size)
+        for node, slot, func in nonlinear:
+            current, didv = func(t, float(v[node]))
+            residual[node] -= current
+            didv_sum[slot] += didv
+        dv, max_dv = self._corrected_solve(basis, didv_sum, -residual)
+        if max_dv > self.damping_limit:
+            dv *= self.damping_limit / max_dv
+        v += dv
+        return max_dv
+
+    def _nonlinear_support(self):
+        """Distinct non-ground nonlinear nodes, and ``(node, slot, func)`` triples.
+
+        The triples keep the network's source order (the accumulation
+        order of the residual and of ``di/dv``) and drop grounded sources.
+        """
+        nonlinear = [(node, func) for node, func in self.network.nonlinear_sources if node >= 0]
+        nodes = sorted({node for node, _ in nonlinear})
+        slot = {node: i for i, node in enumerate(nodes)}
+        triples = [(node, slot[node], func) for node, func in nonlinear]
+        return np.array(nodes, dtype=int), triples
 
     # ---------------------------------------------------------------- DC solve
 
@@ -448,8 +549,7 @@ class DedicatedNoiseEngine:
         n = self.network.num_nodes
         v = np.zeros(n) if v0 is None else np.array(v0, dtype=float, copy=True)
         sources = self.network.source_vector(t)
-        nonlinear = self.network.nonlinear_sources
-        if not nonlinear:
+        if not self.network.nonlinear_sources:
             # Purely linear: the Jacobian is G itself; no factorization is
             # worth caching for the two iterations the loop needs.
             for _ in range(self.max_newton_iterations):
@@ -464,23 +564,10 @@ class DedicatedNoiseEngine:
                     break
             return v
 
-        nodes, slot = self._nonlinear_support(nonlinear)
-        solver = self._acquire_solver(self._G, None)
-        W = self._basis_columns(solver, nodes)
+        nodes, nonlinear = self._nonlinear_support()
+        basis = self._newton_basis(self._acquire_solver(self._G, None), self._G, nodes)
         for _ in range(self.max_newton_iterations):
-            residual = self._G @ v - sources
-            didv_sum = np.zeros(nodes.size)
-            for node, func in nonlinear:
-                if node < 0:
-                    continue
-                current, didv = func(t, float(v[node]))
-                residual[node] -= current
-                didv_sum[slot[node]] += didv
-            dv = self._corrected_solve(solver, W, self._G, nodes, didv_sum, -residual)
-            max_dv = float(np.max(np.abs(dv))) if dv.size else 0.0
-            if max_dv > self.damping_limit:
-                dv *= self.damping_limit / max_dv
-            v += dv
+            max_dv = self._newton_step(basis, nonlinear, t, v, self._G @ v - sources)
             self.statistics.newton_iterations += 1
             if max_dv < self.newton_tolerance:
                 break
@@ -501,14 +588,15 @@ class DedicatedNoiseEngine:
         Returns waveforms of the observed nodes (all nodes by default).
         The integration is trapezoidal with a Newton solve per time point;
         the constant part of the Jacobian ``G + (2/dt) C`` is assembled once.
+        The step actually integrated is that of the uniform output axis (see
+        :func:`fixed_step_axis`).
         """
         if t_stop <= 0 or dt <= 0 or dt > t_stop:
             raise ValueError("invalid t_stop/dt combination")
         start_time = time.perf_counter()
 
         n = self.network.num_nodes
-        num_steps = int(round(t_stop / dt))
-        times = np.linspace(0.0, t_stop, num_steps + 1)
+        times, dt = fixed_step_axis(t_stop, dt)
 
         v = self.dc_solve(0.0, v0)
         results = np.zeros((len(times), n))
@@ -517,8 +605,10 @@ class DedicatedNoiseEngine:
 
         a_const = self._G + (2.0 / dt) * self._C
         two_c_over_dt = (2.0 / dt) * self._C
-        nonlinear = self.network.nonlinear_sources
         dt_key = _quantize_dt(dt)
+        step_times = times[1:].tolist()
+        source_nodes, source_table = self.network.source_table(step_times)
+        source_vector = np.zeros(n)
 
         total_newton = 0
         # The trapezoidal system matrix G + (2/dt) C is constant for the
@@ -527,54 +617,39 @@ class DedicatedNoiseEngine:
         # sources into a rank-k diagonal correction solved through the same
         # factorization (see _corrected_solve) -- one factorization per run,
         # dense or sparse alike.
-        linear_solver = None
-        newton_solver = None
-        W = np.zeros((n, 0))
-        nodes = np.zeros(0, dtype=int)
-        slot: Dict[int, int] = {}
-        if not nonlinear:
+        basis = None
+        if not self.network.nonlinear_sources:
             linear_solver = self._acquire_solver(a_const, dt_key)
             self.statistics.fast_path_runs += 1
         else:
-            nodes, slot = self._nonlinear_support(nonlinear)
-            newton_solver = self._acquire_solver(a_const, dt_key)
-            W = self._basis_columns(newton_solver, nodes)
+            nodes, nonlinear = self._nonlinear_support()
+            basis = self._newton_basis(self._acquire_solver(a_const, dt_key), a_const, nodes)
 
-        for step in range(1, len(times)):
-            t = float(times[step])
-            rhs_const = two_c_over_dt @ v + cap_current + self.network.source_vector(t)
-            if linear_solver is not None:
+        statistics = self.statistics
+        max_newton, tolerance = self.max_newton_iterations, self.newton_tolerance
+        for step, t in enumerate(step_times, start=1):
+            source_vector[source_nodes] = source_table[step - 1]
+            rhs_const = two_c_over_dt @ v + cap_current + source_vector
+            if basis is None:
                 v_new = linear_solver.solve(rhs_const)
                 if step > 1:
                     # The first solve pays for the factorization; every later
                     # step reuses it (same convention as the circuit-level
                     # LinearTransientStepper).
-                    self.statistics.lu_reuse_hits += 1
+                    statistics.lu_reuse_hits += 1
             else:
                 v_new = v.copy()
-                for _ in range(self.max_newton_iterations):
-                    residual = a_const @ v_new - rhs_const
+                for _ in range(max_newton):
                     # The constant Jacobian base is never reassembled (nor
                     # even copied): each iteration only re-evaluates the few
                     # nonlinear sources and solves through the shared
                     # factorization.
-                    self.statistics.assemblies_avoided += 1
-                    didv_sum = np.zeros(nodes.size)
-                    for node, func in nonlinear:
-                        if node < 0:
-                            continue
-                        current, didv = func(t, float(v_new[node]))
-                        residual[node] -= current
-                        didv_sum[slot[node]] += didv
-                    dv = self._corrected_solve(
-                        newton_solver, W, a_const, nodes, didv_sum, -residual
+                    statistics.assemblies_avoided += 1
+                    max_dv = self._newton_step(
+                        basis, nonlinear, t, v_new, a_const @ v_new - rhs_const
                     )
-                    max_dv = float(np.max(np.abs(dv))) if dv.size else 0.0
-                    if max_dv > self.damping_limit:
-                        dv *= self.damping_limit / max_dv
-                    v_new += dv
                     total_newton += 1
-                    if max_dv < self.newton_tolerance:
+                    if max_dv < tolerance:
                         break
             cap_current = two_c_over_dt @ (v_new - v) - cap_current
             v = v_new

@@ -29,7 +29,7 @@ import numpy as np
 
 from ..circuit.netlist import Circuit
 from ..circuit.stamping import LinearSolver
-from ..noise.engine import EngineStatistics, MacromodelNetwork
+from ..noise.engine import EngineStatistics, MacromodelNetwork, fixed_step_axis
 from ..waveform import Waveform
 from .prima import DEFAULT_REDUCTION_ORDER, ReducedSystem, prima_reduce_system
 
@@ -168,7 +168,9 @@ class ReducedOrderEngine:
         """Integrate the reduced macromodel from 0 to ``t_stop``.
 
         ``v0`` is an optional initial *node-voltage* vector (as for the
-        dedicated engine); it is projected onto the basis.  Returns lifted
+        dedicated engine); it is projected onto the basis.  As in the
+        dedicated engine, the step integrated is that of the uniform output
+        axis (:func:`~repro.noise.engine.fixed_step_axis`).  Returns lifted
         waveforms of the observed nodes (all nodes by default).
         """
         if t_stop <= 0 or dt <= 0 or dt > t_stop:
@@ -176,8 +178,7 @@ class ReducedOrderEngine:
         start_time = time.perf_counter()
 
         q = self.reduced.order
-        num_steps = int(round(t_stop / dt))
-        times = np.linspace(0.0, t_stop, num_steps + 1)
+        times, dt = fixed_step_axis(t_stop, dt)
 
         x0 = None
         if v0 is not None:

@@ -97,6 +97,36 @@ class TestLoadSurface:
     def test_describe(self, nand_surface):
         assert "NAND2_X1" in nand_surface.describe()
 
+    def test_cell_search_equals_searchsorted(self, nand_surface):
+        grid = nand_surface.vout_grid
+        points = grid.tolist()
+        queries = points + [
+            float(np.nextafter(grid[3], -np.inf)),
+            float(np.nextafter(grid[3], np.inf)),
+            0.5 * (grid[4] + grid[5]),
+            grid[0] - 1.0,
+            grid[-1] + 1.0,
+            float("inf"),
+            float("-inf"),
+            float("nan"),
+        ]
+        for value in queries:
+            idx = int(np.searchsorted(grid, value) - 1)
+            idx = max(0, min(idx, grid.size - 2))
+            got_idx, got_frac = VCCSLoadSurface._locate(points, value)
+            frac = (value - grid[idx]) / (grid[idx + 1] - grid[idx])
+            assert got_idx == idx, value
+            assert np.array_equal(got_frac, frac, equal_nan=True), value
+
+    def test_cached_grid_lists_are_not_dataclass_fields(self):
+        """Equality, hashing and the disk-cache payload see only the fields."""
+        import dataclasses
+
+        names = [field.name for field in dataclasses.fields(VCCSLoadSurface)]
+        assert names == [
+            "vin_grid", "vout_grid", "current", "cell_name", "input_pin", "side_inputs", "vdd"
+        ]
+
 
 @given(
     vin=st.floats(min_value=-0.2, max_value=1.4),

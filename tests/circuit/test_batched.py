@@ -22,7 +22,7 @@ from repro.circuit.batched import (
     FactorizationCache,
     TransientJob,
 )
-from repro.circuit.stamping import _BASE_CACHE_SIZE, LinearTransientStepper
+from repro.circuit.stamping import _BASE_CACHE_SIZE, LinearSolver, LinearTransientStepper
 from repro.units import fF, ps
 
 #: Batched and sequential must agree to this tolerance on every path.
@@ -291,6 +291,29 @@ class TestFactorizationCache:
         assert not hit
         _, hit = cache.solver(("k3",), lambda: object())
         assert hit
+
+    def test_byte_budget_evicts_oldest(self):
+        class Factor:
+            nbytes = 40
+
+        cache = FactorizationCache()
+        cache.max_bytes = 100
+        for key in ("a", "b", "c"):
+            cache.solver((key,), Factor)
+        assert len(cache) == 2
+        _, hit = cache.solver(("a",), Factor)
+        assert not hit
+        # An entry larger than the whole budget is still admitted, alone.
+        big = type("Big", (), {"nbytes": 1000})
+        _, hit = cache.solver(("big",), big)
+        assert not hit and len(cache) == 1
+
+    def test_default_bound_holds_a_design_working_set(self):
+        cache = FactorizationCache()
+        keys = [("engine", index) for index in range(2 * 120)]
+        for key in keys:
+            cache.solver(key, lambda: LinearSolver(np.eye(25) * 2.0))
+        assert all(cache.solver(key, object)[1] for key in keys)
 
     def test_lru_touch_on_hit(self):
         cache = FactorizationCache(max_entries=2)

@@ -231,6 +231,49 @@ class TestEngineFactorizationSharing:
         assert engine.statistics.matrix_factorizations >= 1
 
 
+    def test_warm_design_rerun_reuses_engine_factorizations(
+        self, library, characterizer, monkeypatch
+    ):
+        """A session's cache holds a 24-net design's working set across reruns."""
+        from repro.api import AnalysisConfig, NoiseAnalysisSession
+        from repro.sna import StreamingClusterExtractor, SyntheticChip
+
+        chip = SyntheticChip(num_nets=24, bus_width=6, topology="grid", seed=1)
+        technology = library.technology
+        spef = list(chip.spef_lines(technology))
+        session = NoiseAnalysisSession(
+            library,
+            AnalysisConfig(methods=("macromodel",), vccs_grid=13, check_nrc=False),
+            characterizer=characterizer,
+        )
+
+        def design_run():
+            stream = StreamingClusterExtractor(chip, technology).extract(iter(spef))
+            return session.run_design(stream=stream, design_name="warm")
+
+        design_run()
+        engines, acquisitions = [], []
+        acquire = DedicatedNoiseEngine._acquire_solver
+        simulate = DedicatedNoiseEngine.simulate
+
+        def counting_acquire(self, matrix, dt_key):
+            acquisitions.append(dt_key)
+            return acquire(self, matrix, dt_key)
+
+        def recording_simulate(self, *args, **kwargs):
+            engines.append(self)
+            return simulate(self, *args, **kwargs)
+
+        monkeypatch.setattr(DedicatedNoiseEngine, "_acquire_solver", counting_acquire)
+        monkeypatch.setattr(DedicatedNoiseEngine, "simulate", recording_simulate)
+        report = design_run()
+        assert len(engines) == len(report.clusters) == 24
+        built = sum(engine.statistics.matrix_factorizations for engine in engines)
+        saved = sum(engine.statistics.factorizations_saved for engine in engines)
+        assert built + saved == len(acquisitions)
+        assert saved >= 0.9 * len(acquisitions)
+
+
 # ---------------------------------------------------------------------------
 # Injected-noise helpers
 # ---------------------------------------------------------------------------
@@ -380,3 +423,32 @@ class TestGoldenCircuit:
         )
         result = GoldenClusterAnalysis(library).analyze(spec, dt=ps(2), t_stop=ps(300))
         assert abs(result.peak) < 0.02
+
+
+# ---------------------------------------------------------------------------
+# Builder capacitance totals
+# ---------------------------------------------------------------------------
+
+def test_net_total_capacitance_equals_the_per_pair_sums(library, characterizer):
+    """One-pass totals equal the per-pair network scans bit for bit."""
+    from repro.sna import StreamingClusterExtractor, SyntheticChip
+
+    chip = SyntheticChip(num_nets=12, bus_width=4, topology="grid", seed=2)
+    technology = library.technology
+    extractions = StreamingClusterExtractor(chip, technology).extract(
+        iter(chip.spef_lines(technology))
+    )
+    checked = 0
+    for extraction in extractions:
+        builder = ClusterModelBuilder(library, extraction.spec, characterizer=characterizer)
+        network = builder.full_network()
+        for net in network.net_names:
+            for factor in (1.0, builder.coupling_switching_factor):
+                expected = network.total_ground_cap(net) + factor * sum(
+                    network.total_coupling_cap(net, other)
+                    for other in network.net_names
+                    if other != net
+                )
+                assert builder.net_total_capacitance(net, factor) == expected
+                checked += 1
+    assert checked > 24
