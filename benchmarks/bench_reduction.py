@@ -122,7 +122,7 @@ def run_case(name, factory, *, repeats, order=DEFAULT_REDUCTION_ORDER):
         _, circuit, observe = factory()
         start = time.perf_counter()
         reference = transient(
-            circuit, t_stop=T_STOP, dt=DT, solver="fast", backend="sparse"
+            circuit, t_stop=T_STOP, dt=DT, backend="sparse"
         )
         best_sparse = min(best_sparse, time.perf_counter() - start)
 
@@ -165,7 +165,7 @@ def run_smoke():
     result = macromodel.transient(T_STOP, DT)
     elapsed = time.perf_counter() - start
     _, circuit, _ = ladder_circuit(1000)
-    reference = transient(circuit, t_stop=T_STOP, dt=DT, solver="fast")
+    reference = transient(circuit, t_stop=T_STOP, dt=DT)
     ref_wave = reference.node_voltage(observe).values
     red_wave = result.node_voltage(observe)
     rel_error = float(

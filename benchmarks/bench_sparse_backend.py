@@ -63,7 +63,7 @@ def _time_run(factory, backend, repeats):
         circuit = factory()
         start = time.perf_counter()
         result = transient(
-            circuit, t_stop=T_STOP, dt=DT, solver="fast", backend=backend
+            circuit, t_stop=T_STOP, dt=DT, backend=backend
         )
         best = min(best, time.perf_counter() - start)
     return best, result

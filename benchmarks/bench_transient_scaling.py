@@ -4,13 +4,13 @@
 Sweeps circuit size for the two linear workload shapes that dominate the
 characterisation and cluster flows -- Thevenin-driven RC ladders and
 multi-net coupled clusters -- and times each against the pre-optimization
-kernel (``solver="legacy"``: full element-by-element Python assembly on
-every Newton iteration of every time point).  A transistor-loaded variant
+kernel (``legacy_kernel.transient_legacy``: full element-by-element Python
+assembly on every Newton iteration of every time point).  A transistor-loaded variant
 measures the Newton-path win (cached base matrices; only nonlinear elements
 re-stamped per iteration).
 
 Every linear case is additionally cross-checked: the fast-path and Newton
-solutions must agree within 1e-9 V, and the speedup over the legacy kernel
+(lane stepper) solutions must agree within 1e-9 V, and the speedup over the legacy kernel
 must be at least ``MIN_LINEAR_SPEEDUP``.
 
 Results are written to ``BENCH_transient.json`` (see ``--output``); run with
@@ -34,7 +34,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import numpy as np
 
-from repro.circuit import Circuit, SaturatedRamp, transient
+from legacy_kernel import transient_legacy
+from repro.circuit import Circuit, SaturatedRamp, transient, transient_lanes
 from repro.circuit.mosfet import MOSFETParams
 from repro.units import fF, ps
 
@@ -104,22 +105,30 @@ def coupled_cluster(num_segments, num_aggressors=2, nonlinear_receivers=False):
     return circuit
 
 
-def _time_run(factory, solver, repeats):
+def _newton(circuit, t_stop, dt):
+    """The Newton path on any circuit: the lane stepper, one lane."""
+    (result,) = transient_lanes(circuit, t_stop, dt, [{}])
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _time_run(factory, run, repeats):
     """Best-of-``repeats`` wall-clock of one transient configuration."""
     best = math.inf
     result = None
     for _ in range(repeats):
         circuit = factory()
         start = time.perf_counter()
-        result = transient(circuit, t_stop=T_STOP, dt=DT, solver=solver)
+        result = run(circuit, T_STOP, DT)
         best = min(best, time.perf_counter() - start)
     return best, result
 
 
 def run_case(name, factory, *, repeats, linear):
     """Benchmark one circuit: legacy baseline vs the optimized kernel."""
-    t_legacy, r_legacy = _time_run(factory, "legacy", repeats)
-    t_new, r_new = _time_run(factory, "auto", repeats)
+    t_legacy, r_legacy = _time_run(factory, transient_legacy, repeats)
+    t_new, r_new = _time_run(factory, transient, repeats)
     max_dv = float(np.max(np.abs(r_legacy.solutions - r_new.solutions)))
 
     row = {
@@ -139,7 +148,7 @@ def run_case(name, factory, *, repeats, linear):
     }
     if linear:
         # Cross-check the LU fast path against the generic Newton path.
-        _, r_newton = _time_run(factory, "newton", 1)
+        _, r_newton = _time_run(factory, _newton, 1)
         row["max_dv_fast_vs_newton"] = float(
             np.max(np.abs(r_new.solutions - r_newton.solutions))
         )

@@ -34,7 +34,7 @@ cheap for scripts that only need units and waveforms.
 from .units import fF, kohm, mV, ns, ps, to_fF, to_mV, to_ps, to_v_ps, um
 from .waveform import GlitchMetrics, Waveform
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 #: Session-API names resolved lazily from :mod:`repro.api` (PEP 562).
 _API_EXPORTS = (
@@ -43,7 +43,6 @@ _API_EXPORTS = (
     "ClusterError",
     "ClusterReport",
     "SessionReport",
-    "RemovedAPIError",
     "WireFormatError",
     "list_methods",
     "method_descriptions",

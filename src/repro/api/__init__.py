@@ -4,9 +4,8 @@ This package is the single front door the paper's "complete SNA methodology"
 deserves: a frozen :class:`AnalysisConfig`, a pluggable analysis-method
 registry (:func:`register_method` / :func:`list_methods`) and the
 :class:`NoiseAnalysisSession` whose ``analyze`` / ``analyze_many`` /
-``run_design`` entry points subsume the old ``ClusterNoiseAnalyzer`` and
-``StaticNoiseAnalysisFlow`` facades (both retired in 0.3.0; calling them
-raises :class:`RemovedAPIError` with the migration path).
+``run_design`` entry points are the one way to analyze a cluster, a batch
+or a whole design.
 
 Quick start::
 
@@ -22,7 +21,6 @@ Quick start::
 """
 
 from .config import DEFAULT_METHODS, AnalysisConfig
-from .errors import RemovedAPIError
 from .registry import (
     AnalysisMethod,
     DuplicateMethodError,
@@ -45,7 +43,6 @@ __all__ = [
     "MethodContext",
     "UnknownMethodError",
     "DuplicateMethodError",
-    "RemovedAPIError",
     "register_method",
     "unregister_method",
     "list_methods",

@@ -1,10 +1,8 @@
 """Frozen, validated configuration for an analysis session.
 
-:class:`AnalysisConfig` replaces the positional/keyword arguments that used
-to be threaded through three layers (``ClusterNoiseAnalyzer`` ->
-``StaticNoiseAnalysisFlow`` -> the per-method classes).  One immutable object
-carries the method list, the time discretisation, the NRC policy and the
-characterisation options; deriving a variant goes through :meth:`replace`.
+One immutable :class:`AnalysisConfig` carries the method list, the time
+discretisation, the NRC policy and the characterisation options; deriving a
+variant goes through :meth:`replace`.
 """
 
 from __future__ import annotations

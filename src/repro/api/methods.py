@@ -1,11 +1,9 @@
 """Built-in analysis-method registrations.
 
 The four analysis backends the paper compares are published in the method
-registry here, with the same names the old ``ClusterNoiseAnalyzer`` string
-dispatch understood (``golden``, ``macromodel``, ``superposition``,
-``iterative_thevenin``), so specs and scripts written against the old facade
-resolve to the same engines through the registry.  ``reduced`` adds the
-PRIMA reduced-order path of :mod:`repro.reduction` on top of that set.
+registry here (``golden``, ``macromodel``, ``superposition``,
+``iterative_thevenin``).  ``reduced`` adds the PRIMA reduced-order path of
+:mod:`repro.reduction` on top of that set.
 
 Importing this module registers the builtins; :mod:`repro.api.registry`
 triggers that import lazily the first time the registry is queried.

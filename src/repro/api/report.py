@@ -4,8 +4,8 @@ A :class:`ClusterReport` collects everything one ``analyze`` call produced
 for one noise cluster: the per-method :class:`NoiseAnalysisResult` objects,
 the NRC verdicts and the wall-clock runtime.  A :class:`SessionReport`
 aggregates the cluster reports of a batch (``analyze_many``) or design run
-(``run_design``) together with engine statistics, replacing the old ad-hoc
-``SNAReport``/result-dict mixture with one structure every driver shares.
+(``run_design``) together with engine statistics, one structure every
+caller shares.
 """
 
 from __future__ import annotations

@@ -10,8 +10,7 @@ entry points every driver in the repo now goes through:
   with the characterisation warmed up front so each distinct cell arc is
   characterised exactly once per session;
 * :meth:`run_design` -- cluster extraction over an annotated design plus
-  per-cluster analysis and NRC checking (subsumes the old
-  ``StaticNoiseAnalysisFlow``).
+  per-cluster analysis and NRC checking.
 
 Analysis backends are resolved by name through the pluggable registry
 (:mod:`repro.api.registry`), so new engines plug into every entry point --

@@ -139,7 +139,12 @@ def _resolve_dataclass(reference: str) -> type:
 
 
 def decode(payload: Any) -> Any:
-    """Reconstruct a value encoded by :func:`encode`."""
+    """Reconstruct a value encoded by :func:`encode`.
+
+    Every malformed payload raises :class:`WireFormatError`, chained to the
+    error it caused (a missing key, a shape that does not fit its data, an
+    unhashable mapping key, data that overflows its dtype...).
+    """
     if payload is None or isinstance(payload, (bool, int, float, str)):
         return payload
     if isinstance(payload, list):
@@ -149,13 +154,24 @@ def decode(payload: Any) -> Any:
     tag = payload.get(_TAG)
     if tag is None:
         return {key: decode(item) for key, item in payload.items()}
+    try:
+        return _decode_tagged(tag, payload)
+    except WireFormatError:
+        raise
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise WireFormatError(f"malformed {tag!r} wire payload: {exc!r}") from exc
+
+
+def _decode_tagged(tag: Any, payload: Dict[str, Any]) -> Any:
     if tag == "tuple":
         return tuple(decode(item) for item in payload["items"])
     if tag == "mapping":
         return {decode(key): decode(item) for key, item in payload["items"]}
     if tag == "ndarray":
-        array = np.array(payload["data"], dtype=np.dtype(payload["dtype"]))
-        return array.reshape(payload["shape"])
+        dtype = np.dtype(payload["dtype"])
+        if dtype.hasobject:
+            raise WireFormatError(f"refusing to decode an ndarray of dtype {dtype}")
+        return np.array(payload["data"], dtype=dtype).reshape(payload["shape"])
     if tag == "waveform":
         return Waveform(payload["times"], payload["values"])
     if tag == "dataclass":
@@ -199,4 +215,6 @@ def unwrap(payload: Dict[str, Any], kind: str) -> Any:
         raise WireFormatError(
             f"expected a {kind!r} payload, got {payload.get('kind')!r}"
         )
+    if "payload" not in payload:
+        raise WireFormatError(f"the {kind!r} wire envelope carries no payload")
     return decode(payload["payload"])

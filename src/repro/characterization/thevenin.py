@@ -286,7 +286,7 @@ def characterize_thevenin_driver(
     # The DUT makes this circuit nonlinear, so the run takes the Newton path;
     # the compiled kernel still caches the linear base matrix so each
     # iteration only re-stamps the cell's transistors.
-    result = transient(circuit, t_stop=t_stop, dt=dt, solver="auto")
+    result = transient(circuit, t_stop=t_stop, dt=dt)
     out = result["out"]
 
     # Normalise the output waveform to a 0 -> 1 swing in the transition

@@ -29,7 +29,7 @@ from .elements import (
     VCVS,
     VoltageSource,
 )
-from .mna import SingularMatrixError, assemble, assemble_legacy, solve_linear_system
+from .mna import SingularMatrixError, assemble, solve_linear_system
 from .mosfet import AlphaPowerModel, Level1Model, MOSFET, MOSFETParams
 from .netlist import Circuit
 from .stamping import (
@@ -102,7 +102,6 @@ __all__ = [
     "TransientJob",
     "DescriptorSystem",
     "assemble",
-    "assemble_legacy",
     "solve_linear_system",
     "SingularMatrixError",
     "CompiledKernel",

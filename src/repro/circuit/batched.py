@@ -450,7 +450,6 @@ class BatchedTransientSolver:
         results = []
         for m, member in enumerate(members):
             member_stats = TransientStats(
-                solver="auto",
                 backend=backend,
                 fast_path=True,
                 num_time_points=num_steps,

@@ -10,10 +10,6 @@ NumPy/LAPACK linear algebra; large interconnect clusters (thousands of RC
 nodes) assemble the same COO triples into scipy.sparse CSC matrices instead
 -- see :func:`repro.circuit.stamping.resolve_backend` for the auto-selection
 policy.
-
-:func:`assemble_legacy` keeps the original element-by-element rebuild both
-as the reference oracle for the kernel's correctness tests and as the
-pre-optimization baseline for the transient benchmarks.
 """
 
 from __future__ import annotations
@@ -29,7 +25,6 @@ from .stamping import SingularMatrixError
 
 __all__ = [
     "assemble",
-    "assemble_legacy",
     "solve_linear_system",
     "SingularMatrixError",
 ]
@@ -42,31 +37,6 @@ def assemble(circuit: Circuit, ctx: StampContext) -> Tuple[np.ndarray, np.ndarra
     entry points prepare once and the per-iteration hot path only asserts.
     """
     return circuit.kernel.assemble(ctx)
-
-
-def assemble_legacy(circuit: Circuit, ctx: StampContext) -> Tuple[np.ndarray, np.ndarray]:
-    """Reference assembly: rebuild the full dense system element by element.
-
-    This is the pre-kernel behaviour (including the per-call ``prepare()``
-    guard).  It is kept as the correctness oracle the compiled kernel is
-    tested against and as the ``solver="legacy"`` baseline of
-    ``benchmarks/bench_transient_scaling.py``.
-    """
-    circuit.prepare()
-    n = circuit.num_unknowns
-    A = np.zeros((n, n))
-    z = np.zeros(n)
-    for element in circuit.elements:
-        element.stamp(A, z, ctx)
-    # Minimum conductance from every node to ground: keeps the matrix
-    # non-singular when nodes are floating (e.g. gate nodes driven only by
-    # capacitors at DC).
-    gmin = ctx.gmin
-    if gmin > 0.0:
-        num_nodes = circuit.num_nodes
-        idx = np.arange(num_nodes)
-        A[idx, idx] += gmin
-    return A, z
 
 
 def solve_linear_system(A, z: np.ndarray) -> np.ndarray:
@@ -98,13 +68,3 @@ def solve_linear_system(A, z: np.ndarray) -> np.ndarray:
         raise SingularMatrixError("solution contains non-finite values")
     return x
 
-
-def residual(circuit: Circuit, ctx: StampContext) -> np.ndarray:
-    """KCL/branch residual ``A(x) x - z(x)`` at the iterate stored in ``ctx``.
-
-    Because non-linear elements stamp exact Norton companions, the residual of
-    the linearised system evaluated at the linearisation point equals the true
-    non-linear residual, which makes this a valid convergence check.
-    """
-    A, z = assemble(circuit, ctx)
-    return A @ ctx.x - z

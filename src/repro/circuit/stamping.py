@@ -60,8 +60,8 @@ pins sparse-vs-dense agreement at 1e-9).
 
 The capture mechanism runs each element's *existing* ``stamp()`` method
 against duck-typed accumulators, so there is exactly one authoritative
-implementation of every stamp and the compiled kernel cannot drift from the
-reference Python assembly (``repro.circuit.mna.assemble_legacy``).
+implementation of every stamp and the compiled kernel cannot drift from a
+plain element-by-element assembly.
 """
 
 from __future__ import annotations
@@ -71,6 +71,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy import sparse as _sparse
+from scipy.linalg import get_lapack_funcs as _get_lapack_funcs
+from scipy.linalg import lu_factor as _lu_factor
+from scipy.sparse.linalg import splu as _splu
 
 from .. import faults
 from .elements import (
@@ -128,49 +132,19 @@ RETRY_RUNGS = (
     ("be-damped", 4, 0.1),
 )
 
-try:  # SciPy is optional: fall back to a cached inverse when missing.
-    from scipy.linalg import get_lapack_funcs as _get_lapack_funcs
-    from scipy.linalg import lu_factor as _lu_factor
-
-    _HAVE_SCIPY_LU = True
-except ImportError:  # pragma: no cover - exercised only on scipy-less installs
-    _get_lapack_funcs = _lu_factor = None
-    _HAVE_SCIPY_LU = False
-
-try:  # The sparse backend needs scipy.sparse; "auto" degrades to dense.
-    from scipy import sparse as _sparse
-    from scipy.sparse.linalg import splu as _splu
-
-    _HAVE_SCIPY_SPARSE = True
-except ImportError:  # pragma: no cover - exercised only on scipy-less installs
-    _sparse = _splu = None
-    _HAVE_SCIPY_SPARSE = False
-
-
 def resolve_backend(backend: str, num_unknowns: int) -> str:
     """Resolve a requested solver backend to ``"dense"`` or ``"sparse"``.
 
     ``"auto"`` picks sparse at or above :data:`SPARSE_AUTO_THRESHOLD`
-    unknowns (when scipy.sparse is importable), dense below it.  Forcing
-    ``"sparse"`` without scipy raises -- silently substituting the dense
-    backend would defeat the point of forcing.
+    unknowns, dense below it.
     """
     if backend not in SOLVER_BACKENDS:
         raise ValueError(
             f"backend must be one of {SOLVER_BACKENDS}, got '{backend}'"
         )
-    if backend == "sparse":
-        if not _HAVE_SCIPY_SPARSE:  # pragma: no cover - scipy-less installs
-            raise RuntimeError(
-                "the sparse solver backend requires scipy.sparse, which is "
-                "not importable in this environment"
-            )
-        return "sparse"
-    if backend == "dense":
-        return "dense"
-    if _HAVE_SCIPY_SPARSE and num_unknowns >= SPARSE_AUTO_THRESHOLD:
-        return "sparse"
-    return "dense"
+    if backend != "auto":
+        return backend
+    return "sparse" if num_unknowns >= SPARSE_AUTO_THRESHOLD else "dense"
 
 
 class SingularMatrixError(RuntimeError):
@@ -225,43 +199,33 @@ _NULL_SINK = _NullSink()
 # ---------------------------------------------------------------------------
 
 class LinearSolver:
-    """An ``A x = z`` solver that factorises once and solves many times.
+    """An ``A x = z`` solver: one ``scipy.linalg.lu_factor``, many solves."""
 
-    Uses ``scipy.linalg.lu_factor`` when SciPy is available; otherwise caches
-    ``numpy.linalg.inv(A)`` so repeated solves stay :math:`O(n^2)`.
-    """
-
-    __slots__ = ("_lu", "_piv", "_getrs", "_inv")
+    __slots__ = ("_lu", "_piv", "_getrs")
 
     def __init__(self, A: np.ndarray):
-        self._lu = self._piv = self._getrs = self._inv = None
         try:
-            if _HAVE_SCIPY_LU:
-                self._lu, self._piv = _lu_factor(A)
-                # The LAPACK routine scipy.linalg.lu_solve ends in, fetched
-                # once: calling it directly skips lu_solve's argument
-                # checks and batching wrapper, which cost ten times the
-                # back-substitution itself on a noise cluster's ~25 unknowns.
-                (self._getrs,) = _get_lapack_funcs(("getrs",), (self._lu,))
-            else:
-                self._inv = np.linalg.inv(A)
+            self._lu, self._piv = _lu_factor(A)
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise SingularMatrixError(str(exc)) from exc
+        # The LAPACK routine scipy.linalg.lu_solve ends in, fetched once:
+        # calling it directly skips lu_solve's argument checks and batching
+        # wrapper, which cost ten times the back-substitution itself on a
+        # noise cluster's ~25 unknowns.
+        (self._getrs,) = _get_lapack_funcs(("getrs",), (self._lu,))
 
     def __getstate__(self):
         # LAPACK routine handles do not pickle; refetch them on load.
-        return self._lu, self._piv, self._inv
+        return self._lu, self._piv
 
     def __setstate__(self, state) -> None:
-        self._lu, self._piv, self._inv = state
-        self._getrs = None
-        if self._lu is not None:
-            (self._getrs,) = _get_lapack_funcs(("getrs",), (self._lu,))
+        self._lu, self._piv = state
+        (self._getrs,) = _get_lapack_funcs(("getrs",), (self._lu,))
 
     @property
     def nbytes(self) -> int:
         """Memory held by the factors (the cache's eviction weight)."""
-        return sum(a.nbytes for a in (self._lu, self._piv, self._inv) if a is not None)
+        return self._lu.nbytes + self._piv.nbytes
 
     def solve(self, z: np.ndarray) -> np.ndarray:
         """Solve for one right-hand side (1-D) or a stacked block (n x k).
@@ -269,15 +233,12 @@ class LinearSolver:
         A 2-D ``z`` is solved column-by-column inside one LAPACK call --
         the primitive the batched transient core builds on.
         """
-        if self._getrs is not None:
-            # The factors were validated at factor time and the solution is
-            # checked below, so no input scan is needed (lu_solve's
-            # check_finite would re-scan the n^2 factor block every solve).
-            x, info = self._getrs(self._lu, self._piv, z)
-            if info != 0:
-                raise ValueError(f"illegal value in argument {-info} of getrs")
-        else:
-            x = self._inv @ z
+        # The factors were validated at factor time and the solution is
+        # checked below, so no input scan is needed (lu_solve's
+        # check_finite would re-scan the n^2 factor block every solve).
+        x, info = self._getrs(self._lu, self._piv, z)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of getrs")
         if not np.isfinite(x).all():
             raise SingularMatrixError("solution contains non-finite values")
         return x
@@ -293,8 +254,6 @@ class SparseLinearSolver:
     __slots__ = ("_lu",)
 
     def __init__(self, A):
-        if not _HAVE_SCIPY_SPARSE:  # pragma: no cover - scipy-less installs
-            raise RuntimeError("scipy.sparse is required for SparseLinearSolver")
         try:
             self._lu = _splu(_sparse.csc_matrix(A))
         except (RuntimeError, ValueError) as exc:
@@ -669,8 +628,6 @@ class CompiledKernel:
         ``n x n`` array is never materialised, which is what keeps
         multi-thousand-node clusters inside memory.
         """
-        if not _HAVE_SCIPY_SPARSE:  # pragma: no cover - scipy-less installs
-            raise RuntimeError("scipy.sparse is required for the sparse backend")
         cached = self._sparse_base_cache.get(key)
         if cached is not None:
             self._sparse_base_cache.move_to_end(key)
@@ -845,8 +802,6 @@ class CompiledKernel:
         descriptor representation here and raise :class:`ValueError` with
         the offending element names.
         """
-        if not _HAVE_SCIPY_SPARSE:  # pragma: no cover - scipy-less installs
-            raise RuntimeError("scipy.sparse is required for descriptor export")
         offending = list(self.nonlinear_elements) + list(self._inductors) + list(
             self._other_dynamic
         )
@@ -966,10 +921,7 @@ class LinearTransientStepper:
     The solver cache is LRU-bounded at :data:`_BASE_CACHE_SIZE` entries
     (matching the kernel's base-matrix caches), so a long-lived stepper
     swept across many distinct ``dt`` values cannot accumulate unbounded
-    factorisations.  ``shared_solvers`` lets several steppers over
-    *identical* matrices (the batched transient core's same-value groups)
-    share one cache, so the whole group factorises each unique ``dt``
-    exactly once.
+    factorisations.
     """
 
     def __init__(
@@ -979,7 +931,6 @@ class LinearTransientStepper:
         method: str,
         gmin: float,
         backend: str = "dense",
-        shared_solvers: Optional["OrderedDict"] = None,
     ):
         if kernel.has_nonlinear:
             raise ValueError(
@@ -993,9 +944,7 @@ class LinearTransientStepper:
         self.method = method
         self.gmin = gmin
         self.backend = backend
-        self._solvers: "OrderedDict[tuple, LinearSolver]" = (
-            OrderedDict() if shared_solvers is None else shared_solvers
-        )
+        self._solvers: "OrderedDict[tuple, LinearSolver]" = OrderedDict()
         self.lu_factorizations = 0
         self.lu_reuse_hits = 0
 

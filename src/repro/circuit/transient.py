@@ -4,7 +4,8 @@ The integrator uses the companion-model formulation implemented by the
 elements themselves: backward Euler for the first step (and optionally
 throughout) and trapezoidal integration afterwards.
 
-Three execution paths share the same time axis and companion models:
+Three execution paths share the same time axis and companion models, and
+:func:`transient` picks one from the circuit alone:
 
 * **linear fast path** -- circuits with no nonlinear element skip Newton
   entirely: each unique time step size is LU-factorised once
@@ -22,11 +23,10 @@ Three execution paths share the same time axis and companion models:
   copies of a circuit that differ only in source waveforms in lockstep
   (heights of one glitch width, say), each lane's result equal to the
   lane run on its own.
-* ``solver="legacy"`` keeps the original per-iteration, per-element
-  Python assembly and ``update_state`` loop unchanged as the benchmark
-  baseline; circuits with elements the lane stepper cannot hold in arrays
-  (custom dynamic or source elements, nonlinear elements with state of
-  their own) take the same per-element loop on the compiled kernel.
+* **per-element loop** -- circuits with elements the lane stepper cannot
+  hold in arrays (custom dynamic or source elements, nonlinear elements
+  with state of their own) run damped Newton with each element's own
+  ``update_state`` on the compiled kernel.
 
 The default time step is fixed, which keeps results deterministic and easy to
 compare across the golden simulation, the macromodel engine and the linear
@@ -43,7 +43,6 @@ import numpy as np
 from ..waveform import Waveform
 from .dc import ConvergenceError, dc_operating_point, newton_solve
 from .elements import GROUND, StampContext, VoltageSource
-from .mna import assemble_legacy
 from .netlist import Circuit
 from .sources import SourceWaveform
 from .stamping import (
@@ -61,8 +60,6 @@ __all__ = [
     "transient_lanes",
 ]
 
-_SOLVERS = ("auto", "fast", "newton", "legacy")
-
 
 @dataclass
 class TransientStats:
@@ -74,7 +71,8 @@ class TransientStats:
     computed LU factorization.
     """
 
-    solver: str = "newton"
+    #: Always ``"auto"``: :func:`transient` picks its path from the circuit.
+    solver: str = "auto"
     #: Resolved linear-algebra backend ("dense" or "sparse").
     backend: str = "dense"
     fast_path: bool = False
@@ -225,7 +223,6 @@ def transient(
     max_newton: int = 50,
     vtol: float = 1e-6,
     include_breakpoints: bool = True,
-    solver: str = "auto",
     backend: str = "auto",
 ) -> TransientResult:
     """Run a transient analysis from ``t = 0`` to ``t_stop``.
@@ -256,47 +253,31 @@ def transient(
         Newton convergence tolerance (volts).
     include_breakpoints:
         Insert source breakpoints into the time axis.
-    solver:
-        ``"auto"`` (default) takes the Newton-free LU-reuse fast path when
-        the circuit is linear and the Newton path (the lane stepper, one
-        lane) otherwise; ``"fast"`` forces the fast path (raises
-        :class:`ValueError` on nonlinear circuits); ``"newton"`` forces the
-        Newton path; ``"legacy"`` forces the original per-iteration full
-        Python assembly and per-element state loop (benchmark baseline).
+    backend:
+        ``"auto"``, ``"dense"`` or ``"sparse"`` (see
+        :func:`~repro.circuit.stamping.resolve_backend`).
+
+    A circuit with no nonlinear element takes the Newton-free LU-reuse fast
+    path; a nonlinear one runs the lane stepper (one lane), or the
+    per-element Newton loop when its elements cannot live in arrays.
     """
     _validate(t_stop, dt, method)
-    if solver not in _SOLVERS:
-        raise ValueError(f"solver must be one of {_SOLVERS}, got '{solver}'")
 
     circuit.prepare()
     kernel = circuit.kernel
     resolved_backend = resolve_backend(backend, kernel.n)
-    if solver == "legacy":
-        # The legacy baseline is dense end to end -- initial DC operating
-        # point included -- so benchmark comparisons against it never hide
-        # sparse solves inside the "legacy" timing.
-        resolved_backend = "dense"
-
-    # Dispatch on the kernel's partitioning, not ``circuit.is_nonlinear()``:
-    # a custom Element subclass may keep the conservative default partition
-    # ("nonlinear", re-stamped per iteration) while reporting
-    # ``is_nonlinear() == False`` -- such circuits must take the Newton path.
-    nonlinear = kernel.has_nonlinear
-    if solver == "fast" and nonlinear:
-        raise ValueError(
-            f"circuit '{circuit.name}' contains nonlinear (per-iteration) "
-            "elements; the LU-reuse fast path only applies to linear circuits"
-        )
-    use_fast = solver == "fast" or (solver == "auto" and not nonlinear)
-
     times = build_time_axis(
         circuit, t_stop, dt, include_breakpoints=include_breakpoints
     )
     x = _initial_state(circuit, x0, initial_conditions, uic, resolved_backend)
 
-    if not use_fast and solver != "legacy" and kernel.array_state:
+    # Dispatch on the kernel's partitioning, not ``circuit.is_nonlinear()``:
+    # a custom Element subclass may keep the conservative default partition
+    # ("nonlinear", re-stamped per iteration) while reporting
+    # ``is_nonlinear() == False`` -- such circuits must take the Newton path.
+    if kernel.has_nonlinear and kernel.array_state:
         (result,) = _run_lanes(
-            circuit, times, x, [{}], solver=solver, method=method,
+            circuit, times, x, [{}], method=method,
             max_newton=max_newton, vtol=vtol, backend=resolved_backend,
         )
         if isinstance(result, Exception):
@@ -305,23 +286,15 @@ def transient(
 
     solutions = np.zeros((len(times), kernel.n))
     solutions[0] = x
-    if use_fast:
+    if kernel.has_nonlinear:
+        stats = _run_newton_path(
+            circuit, times, x, solutions, method=method, max_newton=max_newton,
+            vtol=vtol, backend=resolved_backend,
+        )
+    else:
         stats = _run_fast_path(
             circuit, times, x, solutions, method=method, backend=resolved_backend
         )
-    else:
-        stats = _run_newton_path(
-            circuit,
-            times,
-            x,
-            solutions,
-            method=method,
-            max_newton=max_newton,
-            vtol=vtol,
-            legacy=solver == "legacy",
-            backend=resolved_backend,
-        )
-    stats.solver = solver
     stats.backend = resolved_backend
     stats.num_time_points = len(times) - 1
     return TransientResult(
@@ -414,7 +387,6 @@ def _run_lanes(
     lanes: Sequence[Mapping[str, SourceWaveform]],
     *,
     backend: str,
-    solver: str = "auto",
     method: str = "trap",
     max_newton: int = 50,
     vtol: float = 1e-6,
@@ -452,7 +424,6 @@ def _run_lanes(
             continue
         iterations = int(run.newton_iterations[lane])
         stats = TransientStats(
-            solver=solver,
             backend=backend,
             num_time_points=len(times) - 1,
             newton_iterations=iterations,
@@ -514,13 +485,16 @@ def _run_newton_path(
     method: str,
     max_newton: int,
     vtol: float,
-    legacy: bool,
     backend: str = "dense",
+    assembler=None,
 ) -> TransientStats:
-    """Damped-Newton stepping (nonlinear circuits, and forced baselines)."""
+    """Damped-Newton stepping with each element's own ``update_state``.
+
+    ``assembler`` is :func:`~repro.circuit.dc.newton_solve`'s assembly
+    override, passed through to every Newton call.
+    """
     kernel = circuit.kernel
     kernel_before = kernel.stats.snapshot()
-    assembler = assemble_legacy if legacy else None
 
     # Initialise the per-element dynamic state at t = 0.
     state0: Dict = {}

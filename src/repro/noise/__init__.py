@@ -7,11 +7,12 @@
   separately-computed injected and propagated noise.
 * :class:`ZolotovIterativeAnalysis` -- the iterative linear-Thevenin victim
   model of reference [4].
-* :class:`ClusterNoiseAnalyzer` -- facade running any of the above (plus the
-  golden transistor-level simulation) on a :class:`NoiseClusterSpec`.
+
+:class:`repro.api.NoiseAnalysisSession` runs any of these (plus the golden
+transistor-level simulation) on a :class:`NoiseClusterSpec`.
 """
 
-from .analysis import ClusterNoiseAnalyzer, NRCCheck, check_against_nrc
+from .analysis import NRCCheck, check_against_nrc
 from .builder import ClusterModelBuilder
 from .cluster import AggressorSpec, InputGlitchSpec, NoiseClusterSpec, VictimSpec
 from .engine import DedicatedNoiseEngine, EngineStatistics, MacromodelNetwork
@@ -36,7 +37,6 @@ __all__ = [
     "MacromodelAnalysis",
     "LinearSuperpositionAnalysis",
     "ZolotovIterativeAnalysis",
-    "ClusterNoiseAnalyzer",
     "NoiseAnalysisResult",
     "compare_results",
     "compute_injected_noise",

@@ -1,26 +1,18 @@
-"""Per-cluster NRC checking plus the retired analyzer facade.
+"""Per-cluster NRC checking.
 
 :class:`NRCCheck` / :func:`check_against_nrc` implement the pass/fail
 criterion of the SNA flow: the total noise glitch against the receiver's
 Noise Rejection Curve.
-
-:class:`ClusterNoiseAnalyzer`, the 0.1-era per-cluster facade, completed
-its deprecation cycle and was removed in 0.3.0: constructing one now
-raises :class:`~repro.api.errors.RemovedAPIError` naming the
-:class:`repro.api.NoiseAnalysisSession` replacement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
 
 from ..characterization.nrc import NoiseRejectionCurve
-from ..technology.library import CellLibrary
-from .cluster import NoiseClusterSpec
-from .results import NoiseAnalysisResult, format_comparison_table
+from .results import NoiseAnalysisResult
 
-__all__ = ["NRCCheck", "check_against_nrc", "ClusterNoiseAnalyzer"]
+__all__ = ["NRCCheck", "check_against_nrc"]
 
 
 @dataclass(frozen=True)
@@ -57,55 +49,3 @@ def check_against_nrc(result: NoiseAnalysisResult, nrc: NoiseRejectionCurve) -> 
         receiver_cell=nrc.cell_name,
     )
 
-
-class ClusterNoiseAnalyzer:
-    """Removed 0.1-era facade; construct a ``NoiseAnalysisSession`` instead.
-
-    .. deprecated:: 0.2.0
-    .. versionremoved:: 0.3.0
-        Instantiating this class raises
-        :class:`~repro.api.errors.RemovedAPIError`.  Migrate::
-
-            session = NoiseAnalysisSession(
-                library, AnalysisConfig(reduction=..., vccs_grid=..., check_nrc=False)
-            )
-            results = session.analyze(spec, methods=..., dt=...).results
-    """
-
-    #: Historic built-in method names (kept for back-compat; the authoritative
-    #: list is ``repro.api.list_methods()``, which includes plugins).
-    AVAILABLE_METHODS = ("golden", "macromodel", "superposition", "iterative_thevenin")
-
-    def __init__(
-        self,
-        library: CellLibrary,
-        *,
-        reduction: str = "coupled_pi",
-        vccs_grid: int = 17,
-    ):
-        # Imported here (not at module level): repro.api imports this module
-        # for the NRC types, so a top-level import would be circular.
-        from ..api.errors import RemovedAPIError
-
-        raise RemovedAPIError(
-            "ClusterNoiseAnalyzer",
-            "repro.api.NoiseAnalysisSession",
-            "session.analyze(spec).results returns the same per-method dict",
-        )
-
-    # --------------------------------------------------------------- reporting
-
-    @staticmethod
-    def comparison_table(results: Dict[str, NoiseAnalysisResult], reference: str = "golden") -> str:
-        """Human-readable comparison of all results against a reference."""
-        return format_comparison_table(results, reference)
-
-    def nrc_check(
-        self,
-        spec: NoiseClusterSpec,
-        result: NoiseAnalysisResult,
-        *,
-        widths: Optional[Sequence[float]] = None,
-    ) -> NRCCheck:
-        """Unreachable (the constructor raises); kept for documentation."""
-        raise NotImplementedError

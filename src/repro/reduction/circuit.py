@@ -8,9 +8,9 @@ mirrors the full simulator's linear fast path: the same quantized-``dt``
 trapezoidal companion stepping, the same breakpoint-merged time axis (via
 :func:`repro.circuit.build_time_axis`), and a DC initial condition.  With
 ``order`` at least the number of unknowns the projection is square and the
-reduced run reproduces ``transient(solver="fast")`` to solver precision;
-at paper-default orders it collapses thousand-node interconnect clusters
-into a few dozen states.
+reduced run reproduces the full ``transient()`` to solver precision; at
+paper-default orders it collapses thousand-node interconnect clusters into
+a few dozen states.
 """
 
 from __future__ import annotations

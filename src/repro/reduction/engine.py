@@ -26,6 +26,7 @@ import time
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from ..circuit.netlist import Circuit
 from ..circuit.stamping import LinearSolver
@@ -83,14 +84,8 @@ class ReducedOrderEngine:
             )
 
         setup_start = time.perf_counter()
-        try:
-            from scipy import sparse
-
-            G, C = network.build_matrices_sparse()
-            G = (G + gmin * sparse.identity(n, format="csc")).tocsc()
-        except ImportError:  # pragma: no cover - scipy-less installs
-            G, C = network.build_matrices()
-            G[np.arange(n), np.arange(n)] += gmin
+        G, C = network.build_matrices_sparse()
+        G = (G + gmin * sparse.identity(n, format="csc")).tocsc()
 
         B = np.zeros((n, len(input_nodes)))
         for column, node in enumerate(input_nodes):

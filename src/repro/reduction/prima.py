@@ -28,7 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
+import warnings
+
 import numpy as np
+from scipy import sparse as _sparse
+from scipy.linalg import lu_factor as _lu_factor
+from scipy.linalg import lu_solve as _lu_solve
+from scipy.sparse.linalg import splu as _splu
 
 from ..circuit.stamping import SingularMatrixError
 
@@ -56,23 +62,6 @@ DEFAULT_REDUCTION_ORDER = 12
 #: transient is already cheaper than building a Krylov basis.  Mirrors the
 #: role of :data:`repro.circuit.stamping.SPARSE_AUTO_THRESHOLD`.
 REDUCTION_AUTO_THRESHOLD = 200
-
-try:
-    from scipy import sparse as _sparse
-    from scipy.sparse.linalg import splu as _splu
-
-    _HAVE_SCIPY_SPARSE = True
-except ImportError:  # pragma: no cover - exercised only on scipy-less installs
-    _sparse = _splu = None
-    _HAVE_SCIPY_SPARSE = False
-
-try:
-    from scipy.linalg import lu_factor as _lu_factor, lu_solve as _lu_solve
-
-    _HAVE_SCIPY_LU = True
-except ImportError:  # pragma: no cover - exercised only on scipy-less installs
-    _lu_factor = _lu_solve = None
-    _HAVE_SCIPY_LU = False
 
 #: Columns whose norm falls below this fraction of the block's largest
 #: column norm are deflated (they add no new Krylov direction).
@@ -143,13 +132,9 @@ class StabilityReport:
         )
 
 
-def _is_sparse(matrix) -> bool:
-    return _HAVE_SCIPY_SPARSE and _sparse.issparse(matrix)
-
-
 def _factorize(shifted) -> Callable[[np.ndarray], np.ndarray]:
     """Factor the shifted matrix once; return a dense-block solver."""
-    if _is_sparse(shifted):
+    if _sparse.issparse(shifted):
         try:
             lu = _splu(shifted.tocsc())
         except (RuntimeError, ValueError) as exc:
@@ -157,23 +142,18 @@ def _factorize(shifted) -> Callable[[np.ndarray], np.ndarray]:
         return lu.solve
     dense = np.asarray(shifted, dtype=float)
     try:
-        if _HAVE_SCIPY_LU:
-            import warnings
-
-            with warnings.catch_warnings():
-                # lu_factor only *warns* on an exactly singular matrix; the
-                # zero-pivot check below turns that into the error the
-                # shifted-expansion fallback needs.
-                warnings.simplefilter("ignore")
-                lu = _lu_factor(dense)
-            pivots = np.abs(np.diag(lu[0]))
-            if not np.all(np.isfinite(lu[0])) or (pivots.size and pivots.min() == 0.0):
-                raise SingularMatrixError("zero pivot in LU factorization")
-            return lambda block: _lu_solve(lu, block)
-        inverse = np.linalg.inv(dense)
+        with warnings.catch_warnings():
+            # lu_factor only *warns* on an exactly singular matrix; the
+            # zero-pivot check below turns that into the error the
+            # shifted-expansion fallback needs.
+            warnings.simplefilter("ignore")
+            lu = _lu_factor(dense)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise SingularMatrixError(str(exc)) from exc
-    return lambda block: inverse @ block
+    pivots = np.abs(np.diag(lu[0]))
+    if not np.all(np.isfinite(lu[0])) or (pivots.size and pivots.min() == 0.0):
+        raise SingularMatrixError("zero pivot in LU factorization")
+    return lambda block: _lu_solve(lu, block)
 
 
 def default_shift(G, C) -> float:

@@ -12,7 +12,7 @@ Message types
 Server greeting (sent on connect)::
 
     {"type": "hello", "protocol_version": 1, "schema_version": 1,
-     "server_version": "0.3.0"}
+     "server_version": "0.4.0"}
 
 Client requests and their responses:
 

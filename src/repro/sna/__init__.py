@@ -3,13 +3,11 @@
 A minimal but complete SNA substrate built on the noise macromodel: design
 database, coupling-parasitics annotation and noise-cluster extraction
 (:class:`ClusterExtractor`).  Per-cluster analysis and NRC-based violation
-reporting are driven by :meth:`repro.api.NoiseAnalysisSession.run_design`;
-:class:`StaticNoiseAnalysisFlow` remains as a deprecated facade over it.
+reporting are driven by :meth:`repro.api.NoiseAnalysisSession.run_design`.
 """
 
 from .design import CouplingAnnotation, Design, DesignConnectivity, Instance, Net
 from .extraction import ClusterExtraction, ClusterExtractor, ExtractionConfig, build_cluster
-from .flow import NetNoiseReport, SNAReport, StaticNoiseAnalysisFlow
 from .spef import (
     CouplingDeclaration,
     NetClosed,
@@ -39,9 +37,6 @@ __all__ = [
     "ExtractionConfig",
     "ClusterExtraction",
     "build_cluster",
-    "StaticNoiseAnalysisFlow",
-    "NetNoiseReport",
-    "SNAReport",
     "parse_spef",
     "NetDeclaration",
     "CouplingDeclaration",

@@ -2,11 +2,10 @@
 
 Extraction is the first stage of the industrial SNA pipeline (cluster
 extraction -> per-cluster noise evaluation -> NRC check -> violation
-report).  It used to live inside ``StaticNoiseAnalysisFlow``; it is a
-standalone :class:`ClusterExtractor` now so the unified
+report).  :class:`ClusterExtractor` stands alone, so the unified
 :class:`~repro.api.session.NoiseAnalysisSession` -- and anything else, e.g. a
-future sharded dispatcher -- can extract clusters without dragging in the
-whole legacy flow object.
+future sharded dispatcher -- can extract clusters without an analysis
+session.
 
 The cluster-building policy itself (aggressor ranking, budget, wire
 placement, spec assembly) lives in the module-level :func:`build_cluster` so

@@ -1,12 +1,16 @@
-"""Retired 0.1-era facades fail loudly with their migration path."""
+"""The 0.1-era facades are gone (deleted in 0.4.0); their replacements work.
+
+``StaticNoiseAnalysisFlow`` was a :class:`ClusterExtractor` plus a
+:class:`NoiseAnalysisSession`; these cases pin the migration table in
+API.md on those two.
+"""
 
 import warnings
 
 import pytest
 
-from repro.api import AnalysisConfig, NoiseAnalysisSession, RemovedAPIError
-from repro.noise import ClusterNoiseAnalyzer
-from repro.sna import Design, ExtractionConfig, StaticNoiseAnalysisFlow
+from repro.api import AnalysisConfig, NoiseAnalysisSession
+from repro.sna import ClusterExtractor, Design, ExtractionConfig
 from repro.technology import build_default_library
 from repro.units import ps
 
@@ -31,52 +35,28 @@ def design(library):
     return design
 
 
-class TestClusterNoiseAnalyzerRemoved:
-    def test_constructor_raises_with_migration_path(self, library):
-        with pytest.raises(RemovedAPIError, match="NoiseAnalysisSession"):
-            ClusterNoiseAnalyzer(library, vccs_grid=13)
-
-    def test_error_names_the_removed_api_and_api_md(self, library):
-        with pytest.raises(RemovedAPIError, match="ClusterNoiseAnalyzer") as excinfo:
-            ClusterNoiseAnalyzer(library)
-        assert "API.md" in str(excinfo.value)
-        assert excinfo.value.replacement == "repro.api.NoiseAnalysisSession"
-
-    def test_removal_error_is_a_runtime_error(self, library):
-        # Old call sites catching broad RuntimeError keep their behaviour.
-        with pytest.raises(RuntimeError):
-            ClusterNoiseAnalyzer(library)
-
-
 class TestStaticNoiseAnalysisFlowRunRemoved:
-    def test_run_raises_with_migration_path(self, design):
-        flow = StaticNoiseAnalysisFlow(design, num_segments=4)
-        with pytest.raises(RemovedAPIError, match="run_design"):
-            flow.run(method="macromodel", check_nrc=False, dt=ps(2))
-
-    def test_analyzer_property_raises(self, design):
-        flow = StaticNoiseAnalysisFlow(design, num_segments=4)
-        with pytest.raises(RemovedAPIError, match="NoiseAnalysisSession"):
-            flow.analyzer
-
     def test_extraction_passthroughs_still_work(self, design):
-        """The extraction surface survives the run() retirement, warning-free."""
-        flow = StaticNoiseAnalysisFlow(design, num_segments=4, max_aggressors=1)
+        """The flow's extraction surface lives on ``ClusterExtractor``, warning-free."""
+        extractor = ClusterExtractor(
+            design, config=ExtractionConfig(num_segments=4, max_aggressors=1)
+        )
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            candidates = flow.victim_candidates()
-            extraction = flow.extract_cluster("n1")
+            candidates = extractor.victim_candidates()
+            extraction = extractor.extract_cluster("n1")
         assert candidates == ["n1", "n2"]
         assert extraction.victim_net == "n1"
-        assert flow.num_segments == 4
-        assert flow.max_aggressors == 1
+        assert extractor.config.num_segments == 4
+        assert extractor.config.max_aggressors == 1
 
     def test_documented_replacement_produces_the_report(self, library, design):
-        """The migration path in the run() docstring actually works."""
-        flow = StaticNoiseAnalysisFlow(design, num_segments=4)
-        report = flow.session.run_design(
+        """The migration table's ``flow.run()`` row actually works."""
+        extractor = ClusterExtractor(design, config=ExtractionConfig(num_segments=4))
+        session = NoiseAnalysisSession(library, AnalysisConfig())
+        report = session.run_design(
             design,
-            extractor=flow.extractor,
+            extractor=extractor,
             methods=("macromodel",),
             dt=ps(2),
             check_nrc=False,

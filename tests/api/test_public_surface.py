@@ -2,7 +2,11 @@
 
 import importlib
 
+import pytest
+
 import repro
+from repro.circuit import Circuit, transient
+from repro.units import fF, ps
 
 
 class TestPublicSurface:
@@ -45,4 +49,38 @@ class TestPublicSurface:
             raise AssertionError("expected AttributeError")
 
     def test_version_is_current(self):
-        assert repro.__version__ == "0.3.0"
+        assert repro.__version__ == "0.4.0"
+
+
+class TestDeletedIn040:
+    """The retired facades and the bench-only transient knob are gone."""
+
+    @pytest.mark.parametrize(
+        "module, name",
+        [
+            ("repro", "RemovedAPIError"),
+            ("repro.api", "RemovedAPIError"),
+            ("repro.sna", "StaticNoiseAnalysisFlow"),
+            ("repro.sna", "SNAReport"),
+            ("repro.sna", "NetNoiseReport"),
+            ("repro.noise", "ClusterNoiseAnalyzer"),
+            ("repro.circuit", "assemble_legacy"),
+        ],
+    )
+    def test_deleted_names_raise_attribute_error(self, module, name):
+        with pytest.raises(AttributeError):
+            getattr(importlib.import_module(module), name)
+
+    @pytest.mark.parametrize("module", ["repro.sna.flow", "repro.api.errors"])
+    def test_deleted_modules_are_gone(self, module):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+
+    def test_transient_has_no_solver_option(self):
+        circuit = Circuit("rc")
+        circuit.add_voltage_source("V1", "in", "0", 1.0)
+        circuit.add_resistor("R1", "in", "out", 1e3)
+        circuit.add_capacitor("C1", "out", "0", fF(1))
+        with pytest.raises(TypeError, match="solver"):
+            transient(circuit, ps(50), ps(1), solver="fast")
+        assert transient(circuit, ps(50), ps(1)).stats.solver == "auto"

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import AnalysisConfig, NoiseAnalysisSession
 from repro.api import wire
@@ -122,6 +124,116 @@ class TestCodec:
     def test_unknown_tag_rejected(self):
         with pytest.raises(wire.WireFormatError, match="unknown wire tag"):
             wire.decode({"__wire__": "hologram"})
+
+
+#: Tagged payloads malformed in one way each, with the error each one
+#: caused before decode turned it into a ``WireFormatError`` (None: the
+#: payload is refused outright).
+MALFORMED = {
+    "tuple-without-items": ({"__wire__": "tuple"}, KeyError),
+    "ndarray-shape-does-not-fit-data": (
+        {"__wire__": "ndarray", "dtype": "float64", "shape": [2, 2], "data": [1.0, 2.0, 3.0]},
+        ValueError,
+    ),
+    "ndarray-unknown-dtype": (
+        {"__wire__": "ndarray", "dtype": "float77", "shape": [1], "data": [1.0]},
+        TypeError,
+    ),
+    "ndarray-object-dtype": (
+        {"__wire__": "ndarray", "dtype": "object", "shape": [1], "data": [1.0]},
+        None,
+    ),
+    "ndarray-data-overflows-its-dtype": (
+        {"__wire__": "ndarray", "dtype": "float64", "shape": [1], "data": [10**400]},
+        OverflowError,
+    ),
+    "mapping-with-a-list-key": ({"__wire__": "mapping", "items": [[[1, 2], "v"]]}, TypeError),
+    "dataclass-fields-not-a-dict": (
+        {"__wire__": "dataclass", "class": "repro.api.config:AnalysisConfig", "fields": [1]},
+        AttributeError,
+    ),
+    "waveform-lengths-differ": (
+        {"__wire__": "waveform", "times": [0.0, 1e-12], "values": [0.0]},
+        ValueError,
+    ),
+}
+
+
+class TestMalformedPayloads:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_raises_wire_format_error_chained_to_its_cause(self, case):
+        payload, cause = MALFORMED[case]
+        with pytest.raises(wire.WireFormatError) as excinfo:
+            wire.decode(payload)
+        if cause is None:
+            assert excinfo.value.__cause__ is None
+        else:
+            assert isinstance(excinfo.value.__cause__, cause)
+
+    def test_a_nested_error_is_not_wrapped_again(self):
+        payload = {"__wire__": "tuple", "items": [{"__wire__": "hologram"}]}
+        with pytest.raises(wire.WireFormatError) as excinfo:
+            wire.decode(payload)
+        assert str(excinfo.value) == "unknown wire tag 'hologram'"
+
+    def test_envelope_without_payload(self):
+        envelope = {"schema_version": wire.SCHEMA_VERSION, "kind": "cluster_report"}
+        with pytest.raises(wire.WireFormatError, match="no payload"):
+            wire.unwrap(envelope, "cluster_report")
+
+
+_TAGS = ["tuple", "mapping", "ndarray", "waveform", "dataclass", "hologram"]
+_CLASSES = [
+    "repro.api.config:AnalysisConfig",
+    "repro.noise.analysis:NRCCheck",
+    "repro.circuit.transient:TransientStats",
+    "repro.waveform:GlitchMetrics",
+    "repro.sna.extraction:ExtractionConfig",
+    "repro.api:NoiseAnalysisSession",
+    "os:environ",
+]
+_DTYPES = ["float64", "int32", "bool", "complex128", "<U3", "object", "O", "float77"]
+_KEYS = [
+    "items", "dtype", "shape", "data", "times", "values", "class", "fields",
+    "vccs_grid", "methods", "dt", "fails", "height", "num_segments", "max_aggressors",
+]
+
+_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.just(10**400)
+    | st.floats()
+    | st.text(max_size=4)
+    | st.sampled_from(_TAGS + _CLASSES + _DTYPES + _KEYS)
+)
+
+
+def _containers(children):
+    tagged = st.builds(
+        lambda tag, body: {**body, "__wire__": tag},
+        st.sampled_from(_TAGS),
+        st.dictionaries(st.sampled_from(_KEYS), children, max_size=4),
+    )
+    return (
+        st.lists(children, max_size=4)
+        | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=3), children, max_size=4)
+        | tagged
+    )
+
+
+_json_payloads = st.recursive(_leaves, _containers, max_leaves=25)
+
+
+@settings(max_examples=400, deadline=None)
+@given(payload=_json_payloads)
+def test_any_json_payload_decodes_or_raises_wire_format_error(payload):
+    """JSON built from the real tags and ``repro`` dataclass names never
+    escapes decode with anything but ``WireFormatError``."""
+    try:
+        wire.decode(json.loads(json.dumps(payload)))
+    except wire.WireFormatError:
+        pass
 
 
 class TestEnvelope:

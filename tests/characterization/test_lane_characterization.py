@@ -52,7 +52,7 @@ def per_element_glitch(bench, height, width, dt, x0):
     solutions = np.zeros((len(times), circuit.kernel.n))
     solutions[0] = x0
     _run_newton_path(
-        circuit, times, x0, solutions, method="trap", max_newton=50, vtol=1e-6, legacy=False
+        circuit, times, x0, solutions, method="trap", max_newton=50, vtol=1e-6
     )
     out = TransientResult(circuit, times, solutions)["out"]
     return out.glitch_metrics(baseline=bench.vdd if bench.arc.output_high else 0.0)

@@ -1,9 +1,10 @@
 """Vectorized-assembly kernel and LU-reuse fast-path tests.
 
 The compiled kernel is validated against the legacy element-by-element
-assembly (the authoritative reference), and the Newton-free linear fast path
-is cross-checked against the generic Newton path on the RC-ladder / Thevenin
-circuits that dominate the characterisation and golden workloads.
+assembly (the authoritative reference, ``benchmarks/legacy_kernel.py``), and
+the Newton-free linear fast path is cross-checked against the generic Newton
+path (the lane stepper) on the RC-ladder / Thevenin circuits that dominate
+the characterisation and golden workloads.
 """
 
 import numpy as np
@@ -15,11 +16,17 @@ from repro.circuit import (
     SaturatedRamp,
     StampContext,
     assemble,
-    assemble_legacy,
     transient,
 )
 from repro.circuit.mosfet import MOSFETParams
 from repro.units import fF, ps
+from transient_oracles import legacy_kernel, run_lanes
+
+
+def newton(circuit, t_stop, dt, method="trap"):
+    """The generic Newton path on a linear circuit: one lane of the lane stepper."""
+    (result,) = run_lanes(circuit, [{}], t_stop=t_stop, dt=dt, method=method)
+    return result
 
 
 def rc_ladder(num_segments=12, r=120.0, c=fF(4), coupling=fF(1)):
@@ -113,7 +120,7 @@ class TestKernelMatchesLegacyAssembly:
         circuit = mixed_element_circuit()
         circuit.prepare()
         for ctx in self._contexts(circuit.num_unknowns):
-            A_ref, z_ref = assemble_legacy(circuit, ctx)
+            A_ref, z_ref = legacy_kernel.assemble_legacy(circuit, ctx)
             A, z = assemble(circuit, ctx)
             np.testing.assert_allclose(A, A_ref, rtol=0, atol=1e-12)
             np.testing.assert_allclose(z, z_ref, rtol=0, atol=1e-18)
@@ -140,30 +147,28 @@ class TestKernelMatchesLegacyAssembly:
 class TestLinearFastPath:
     @pytest.mark.parametrize("method", ["trap", "be"])
     def test_rc_ladder_matches_newton(self, method):
-        fast = transient(rc_ladder(), t_stop=ps(400), dt=ps(1), method=method, solver="fast")
-        newton = transient(
-            rc_ladder(), t_stop=ps(400), dt=ps(1), method=method, solver="newton"
-        )
+        fast = transient(rc_ladder(), t_stop=ps(400), dt=ps(1), method=method)
+        lane = newton(rc_ladder(), ps(400), ps(1), method)
         assert fast.stats.fast_path
-        assert not newton.stats.fast_path
-        np.testing.assert_allclose(fast.times, newton.times)
-        assert np.max(np.abs(fast.solutions - newton.solutions)) < 1e-9
+        assert not lane.stats.fast_path
+        np.testing.assert_allclose(fast.times, lane.times)
+        assert np.max(np.abs(fast.solutions - lane.solutions)) < 1e-9
 
     def test_rc_ladder_matches_legacy(self):
-        fast = transient(rc_ladder(), t_stop=ps(400), dt=ps(1), solver="fast")
-        legacy = transient(rc_ladder(), t_stop=ps(400), dt=ps(1), solver="legacy")
+        fast = transient(rc_ladder(), t_stop=ps(400), dt=ps(1))
+        legacy = legacy_kernel.transient_legacy(rc_ladder(), ps(400), ps(1))
+        assert fast.stats.fast_path
         assert np.max(np.abs(fast.solutions - legacy.solutions)) < 1e-9
 
     def test_thevenin_load_matches_newton(self):
-        fast = transient(thevenin_load_circuit(), t_stop=ps(500), dt=ps(1), solver="fast")
-        newton = transient(
-            thevenin_load_circuit(), t_stop=ps(500), dt=ps(1), solver="newton"
-        )
-        assert np.max(np.abs(fast.solutions - newton.solutions)) < 1e-9
+        fast = transient(thevenin_load_circuit(), t_stop=ps(500), dt=ps(1))
+        lane = newton(thevenin_load_circuit(), ps(500), ps(1))
+        assert fast.stats.fast_path
+        assert np.max(np.abs(fast.solutions - lane.solutions)) < 1e-9
 
     def test_uniform_grid_factorizes_once_per_dt(self):
         result = transient(
-            rc_ladder(), t_stop=ps(300), dt=ps(1), solver="fast", include_breakpoints=False
+            rc_ladder(), t_stop=ps(300), dt=ps(1), include_breakpoints=False
         )
         assert result.stats.matrix_factorizations == 1
         assert result.stats.lu_reuse_hits == result.stats.num_time_points - 1
@@ -180,14 +185,10 @@ class TestLinearFastPath:
         assert not result.stats.fast_path
         assert result.stats.newton_iterations > 0
 
-        with pytest.raises(ValueError, match="nonlinear"):
-            transient(mixed_element_circuit(), t_stop=ps(50), dt=ps(1), solver="fast")
-
     def test_custom_element_with_default_partition_takes_newton_path(self):
         # A linear custom element that keeps the conservative base-class
         # defaults (is_nonlinear() False, partition() "nonlinear") must be
-        # dispatched to the Newton path by solver="auto", not crash the
-        # fast path.
+        # dispatched to the Newton path, not crash the fast path.
         from repro.circuit import Element
         from repro.circuit.elements import stamp_conductance
 
@@ -209,11 +210,9 @@ class TestLinearFastPath:
         circuit.add_capacitor("C1", "out", "0", fF(5))
         assert not circuit.is_nonlinear()
 
-        result = transient(circuit, t_stop=ps(100), dt=ps(1))  # solver="auto"
+        result = transient(circuit, t_stop=ps(100), dt=ps(1))
         assert not result.stats.fast_path
         assert result["out"].values[-1] == pytest.approx(0.5, rel=1e-3)
-        with pytest.raises(ValueError, match="per-iteration"):
-            transient(circuit, t_stop=ps(100), dt=ps(1), solver="fast")
 
     def test_subclass_overriding_stamp_is_demoted_to_per_iteration(self):
         # A Capacitor subclass that overrides stamp() without overriding
@@ -237,7 +236,7 @@ class TestLinearFastPath:
             return circuit
 
         auto = transient(build(), t_stop=ps(200), dt=ps(1))
-        legacy = transient(build(), t_stop=ps(200), dt=ps(1), solver="legacy")
+        legacy = legacy_kernel.transient_legacy(build(), ps(200), ps(1))
         assert not auto.stats.fast_path
         assert np.max(np.abs(auto.solutions - legacy.solutions)) < 1e-9
         # The leakage visibly shifts the settled output below 1 V.
@@ -267,7 +266,7 @@ class TestLinearFastPath:
             return circuit
 
         auto = transient(build(), t_stop=ps(100), dt=ps(1))
-        legacy = transient(build(), t_stop=ps(100), dt=ps(1), solver="legacy")
+        legacy = legacy_kernel.transient_legacy(build(), ps(100), ps(1))
         assert not auto.stats.fast_path
         assert np.max(np.abs(auto.solutions - legacy.solutions)) < 1e-9
 
@@ -281,10 +280,10 @@ class TestLinearFastPath:
             circuit.add_resistor("R1", "mid", "0", 100.0)
             return circuit
 
-        fast = transient(lr(), t_stop=ps(100), dt=ps(0.5), solver="fast")
-        newton = transient(lr(), t_stop=ps(100), dt=ps(0.5), solver="newton")
+        fast = transient(lr(), t_stop=ps(100), dt=ps(0.5))
+        lane = newton(lr(), ps(100), ps(0.5))
         assert fast.stats.fast_path
-        assert np.max(np.abs(fast.solutions - newton.solutions)) < 1e-9
+        assert np.max(np.abs(fast.solutions - lane.solutions)) < 1e-9
 
 
 class TestPrepareOnceAndInvalidation:

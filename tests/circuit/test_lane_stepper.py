@@ -29,18 +29,12 @@ from repro.circuit import mna
 from repro.circuit.elements import BehavioralCurrentSource, Diode, StampContext
 from repro.circuit.mosfet import AlphaPowerModel, Level1Model, MOSFETBlock
 from repro.circuit.stamping import SingularMatrixError, compilable
-from repro.circuit.stamping import resolve_backend
-from repro.circuit.transient import (
-    _initial_state,
-    _run_lanes,
-    _run_newton_path,
-    build_time_axis,
-    transient_lanes,
-)
+from repro.circuit.transient import _run_newton_path, build_time_axis, transient_lanes
 from repro.experiments import figure1_cluster
 from repro.resilience import resilient_analyze
 from repro.technology import build_default_library, get_technology
 from repro.units import fF, ps
+from transient_oracles import legacy_kernel, run_lanes
 
 NMOS = MOSFETParams(polarity="n", vto=0.35, kp=3e-4, lambda_=0.05, l_nominal=0.13e-6)
 PMOS = MOSFETParams(polarity="p", vto=0.35, kp=1.2e-4, lambda_=0.08, l_nominal=0.13e-6)
@@ -71,15 +65,6 @@ def glitch(height, width=ps(4)):
 
 def lanes_for(heights, width=ps(4)):
     return [{"VIN": glitch(h, width)} for h in heights]
-
-
-def run_lanes(circuit, lanes, *, x0=None, max_newton=50, backend="auto"):
-    """:func:`transient_lanes` over 200 ps with a chosen Newton budget and backend."""
-    circuit.prepare()
-    backend = resolve_backend(backend, circuit.kernel.n)
-    times = build_time_axis(circuit, ps(200), ps(4), waveforms=lanes[0])
-    x = _initial_state(circuit, x0, None, False, backend)
-    return _run_lanes(circuit, times, x, lanes, backend=backend, max_newton=max_newton)
 
 
 def run_alone(height, width=ps(4), **kwargs):
@@ -239,7 +224,7 @@ class TestCompileGuard:
         LoggedStamp.calls = 0
         auto = transient(circuit, ps(200), ps(4))
         assert LoggedStamp.calls > 0
-        legacy = transient(circuit, ps(200), ps(4), solver="legacy")
+        legacy = legacy_kernel.transient_legacy(circuit, ps(200), ps(4))
         assert np.max(np.abs(auto.solutions - legacy.solutions)) < 1e-9
         plain = inverter()
         plain["VIN"].waveform = glitch(1.2, ps(40))
@@ -327,7 +312,7 @@ class TestLanesMatchLoneRuns:
                 solutions[0] = x0
                 stats = _run_newton_path(
                     circuit, times, x0, solutions, method="trap", max_newton=4,
-                    vtol=1e-6, legacy=False,
+                    vtol=1e-6,
                 )
             return solutions, stats, circuit.kernel.stats.delta_since(before)
 
@@ -343,8 +328,8 @@ class TestLanesMatchLoneRuns:
     def test_newton_stays_within_1e9_of_legacy(self):
         circuit = inverter()
         circuit["VIN"].waveform = glitch(1.0, ps(40))
-        newton = transient(circuit, ps(200), ps(2), solver="newton")
-        legacy = transient(circuit, ps(200), ps(2), solver="legacy")
+        newton = transient(circuit, ps(200), ps(2))
+        legacy = legacy_kernel.transient_legacy(circuit, ps(200), ps(2))
         assert np.max(np.abs(newton.solutions - legacy.solutions)) < 1e-9
 
     def test_sparse_lanes_match_dense_lanes(self):
@@ -406,7 +391,7 @@ class TestLaneStepperScope:
         assert not circuit.kernel.array_state
         # transient() keeps the per-element loop for such circuits ...
         circuit["VIN"].waveform = glitch(0.6)
-        legacy = transient(circuit, ps(200), ps(4), solver="legacy")
+        legacy = legacy_kernel.transient_legacy(circuit, ps(200), ps(4))
         auto = transient(circuit, ps(200), ps(4))
         assert np.max(np.abs(auto.solutions - legacy.solutions)) < 1e-9
         # ... while lanes, which hold all state in arrays, refuse them.
@@ -431,7 +416,7 @@ class TestLaneStepperScope:
         assert not circuit.kernel.array_state
         circuit["VIN"].waveform = glitch(0.6)
         auto = transient(circuit, ps(200), ps(4))
-        legacy = transient(circuit, ps(200), ps(4), solver="legacy")
+        legacy = legacy_kernel.transient_legacy(circuit, ps(200), ps(4))
         assert np.max(np.abs(auto.solutions - legacy.solutions)) < 1e-9
         with pytest.raises(ValueError, match="custom sources"):
             transient_lanes(circuit, ps(200), ps(4), lanes_for(HEIGHTS))
@@ -445,5 +430,5 @@ class TestLaneStepperScope:
         assert circuit.kernel is not kernel
         circuit["VIN"].waveform = glitch(0.6)
         lanes = transient(circuit, ps(200), ps(4))
-        legacy = transient(circuit, ps(200), ps(4), solver="legacy")
+        legacy = legacy_kernel.transient_legacy(circuit, ps(200), ps(4))
         assert np.max(np.abs(lanes.solutions - legacy.solutions)) < 1e-9

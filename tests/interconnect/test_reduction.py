@@ -63,7 +63,7 @@ def _fixed_wire_ladder(num_nodes, *, total_resistance=1.2e3, total_capacitance=f
 
 
 def _reference_waveform(circuit, node, *, t_stop, dt):
-    result = transient(circuit, t_stop, dt, solver="fast")
+    result = transient(circuit, t_stop, dt)
     return result.node_voltage(node).values
 
 

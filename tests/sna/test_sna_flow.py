@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.api import AnalysisConfig, NoiseAnalysisSession
 from repro.noise import InputGlitchSpec
 from repro.sna import (
+    ClusterExtractor,
     Design,
+    ExtractionConfig,
     SPEFError,
-    StaticNoiseAnalysisFlow,
     annotate_design,
     read_coupling_file,
     write_coupling_file,
@@ -111,10 +113,10 @@ class TestParasitics:
 
 class TestFlow:
     def test_victim_candidates_and_extraction(self, design):
-        flow = StaticNoiseAnalysisFlow(design, num_segments=4)
-        candidates = flow.victim_candidates()
+        extractor = ClusterExtractor(design, config=ExtractionConfig(num_segments=4))
+        candidates = extractor.victim_candidates()
         assert candidates == ["n1", "n2", "n3"]
-        extraction = flow.extract_cluster("n1")
+        extraction = extractor.extract_cluster("n1")
         assert extraction.victim_net == "n1"
         assert set(extraction.aggressor_nets) == {"n2", "n3"}
         assert extraction.spec.victim.driver_cell == "NAND2_X1"
@@ -125,26 +127,18 @@ class TestFlow:
         assert "n2" in (wires[victim_index - 1], wires[(victim_index + 1) % len(wires)])
 
     def test_extraction_errors(self, design):
-        flow = StaticNoiseAnalysisFlow(design)
         with pytest.raises(ValueError):
-            flow.extract_cluster("a")  # primary input has no driver
-
-    def test_run_removed_with_migration_path(self, design):
-        from repro.api import RemovedAPIError
-
-        flow = StaticNoiseAnalysisFlow(design, num_segments=4)
-        with pytest.raises(RemovedAPIError, match="run_design"):
-            flow.run(method="macromodel", check_nrc=False, dt=ps(2))
+            ClusterExtractor(design).extract_cluster("a")  # primary input has no driver
 
     def test_run_design_replacement_produces_report(self, design):
-        flow = StaticNoiseAnalysisFlow(
+        extractor = ClusterExtractor(
             design,
-            num_segments=4,
+            config=ExtractionConfig(num_segments=4),
             input_glitches={"n1": InputGlitchSpec(height=0.8, width=ps(200), start_time=ps(120))},
         )
-        report = flow.session.run_design(
+        report = NoiseAnalysisSession(design.library, AnalysisConfig()).run_design(
             design,
-            extractor=flow.extractor,
+            extractor=extractor,
             methods=("macromodel",),
             dt=ps(2),
             check_nrc=False,
@@ -161,8 +155,10 @@ class TestFlow:
         assert not report.cluster("n1").fails  # NRC not checked
 
     def test_max_aggressor_filtering(self, design):
-        flow = StaticNoiseAnalysisFlow(design, max_aggressors=1, num_segments=4)
-        extraction = flow.extract_cluster("n1")
+        extractor = ClusterExtractor(
+            design, config=ExtractionConfig(max_aggressors=1, num_segments=4)
+        )
+        extraction = extractor.extract_cluster("n1")
         assert len(extraction.aggressor_nets) == 1
         assert extraction.skipped_aggressors == ["n3"]
 
