@@ -79,7 +79,6 @@ def newton_solve(
     method: str = "trap",
     prev_x: Optional[np.ndarray] = None,
     prev_state: Optional[dict] = None,
-    assembler=None,
     backend: str = "auto",
 ) -> tuple:
     """Damped Newton iteration; returns ``(x, iterations)``.
@@ -91,8 +90,6 @@ def newton_solve(
     every iteration from the kernel's cached base matrix and the linear
     right-hand side computed once per call (it is constant over the Newton
     iterations -- only nonlinear companion stamps depend on the iterate).
-    ``assembler`` overrides assembly with a ``(circuit, ctx) -> (A, z)``
-    callable (used by benchmarks to time the legacy full rebuild).
     ``backend`` selects the matrix substrate (``"auto"``/``"dense"``/
     ``"sparse"``, see :func:`repro.circuit.stamping.resolve_backend`); large
     sparse systems factorise with ``scipy.sparse.linalg.splu`` instead of
@@ -122,14 +119,11 @@ def newton_solve(
             source_scale=source_scale,
             prev_state=prev_state or {},
         )
-        if assembler is not None:
-            A, z = assembler(circuit, ctx)
-        else:
-            # Base matrix, cache key and linear RHS are constant over the
-            # Newton iterations of this point -- compute them once.
-            if point is None:
-                point = kernel.point(ctx, backend=backend)
-            A, z = point.assemble(ctx)
+        # Base matrix, cache key and linear RHS are constant over the Newton
+        # iterations of this point -- compute them once.
+        if point is None:
+            point = kernel.point(ctx, backend=backend)
+        A, z = point.assemble(ctx)
         residual = A @ x - z
         x_new = solve_linear_system(A, z)
         dx = x_new - x

@@ -71,8 +71,6 @@ class TransientStats:
     computed LU factorization.
     """
 
-    #: Always ``"auto"``: :func:`transient` picks its path from the circuit.
-    solver: str = "auto"
     #: Resolved linear-algebra backend ("dense" or "sparse").
     backend: str = "dense"
     fast_path: bool = False
@@ -486,13 +484,8 @@ def _run_newton_path(
     max_newton: int,
     vtol: float,
     backend: str = "dense",
-    assembler=None,
 ) -> TransientStats:
-    """Damped-Newton stepping with each element's own ``update_state``.
-
-    ``assembler`` is :func:`~repro.circuit.dc.newton_solve`'s assembly
-    override, passed through to every Newton call.
-    """
+    """Damped-Newton stepping with each element's own ``update_state``."""
     kernel = circuit.kernel
     kernel_before = kernel.stats.snapshot()
 
@@ -528,7 +521,6 @@ def _run_newton_path(
                 method=step_method,
                 prev_x=prev_x,
                 prev_state=prev_state,
-                assembler=assembler,
                 backend=backend,
             )
         except ConvergenceError:
@@ -546,7 +538,6 @@ def _run_newton_path(
                         method="be",
                         prev_x=prev_x,
                         prev_state=prev_state,
-                        assembler=assembler,
                         backend=backend,
                     )
                 except ConvergenceError:

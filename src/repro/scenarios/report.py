@@ -338,7 +338,8 @@ class SweepReport:
     def to_json(self) -> Dict:
         """Lossless, versioned JSON payload.
 
-        Carries every :class:`ScenarioResult` (wire-encoded) alongside the
+        A :func:`~repro.api.wire.wrap` envelope whose payload is the list of
+        every :class:`ScenarioResult`, alongside the
         derived summary keys the sweep benchmark and CI gates already read
         (``num_scenarios``, ``num_errors``, ``health``, ...), so one payload
         serves both the service wire format and the human dashboards.
@@ -354,9 +355,7 @@ class SweepReport:
         except ValueError:
             pass
         return {
-            "schema_version": wire.SCHEMA_VERSION,
-            "kind": "sweep_report",
-            "results": [wire.encode(result) for result in self.results],
+            **wire.wrap("sweep_report", list(self.results)),
             "num_scenarios": len(self.results),
             "num_errors": len(self.errors),
             "nrc_failures": self.nrc_failure_count,
@@ -383,26 +382,14 @@ class SweepReport:
     @classmethod
     def from_json(cls, payload: Dict) -> "SweepReport":
         """Rebuild a report from its :meth:`to_json` payload."""
-        if not isinstance(payload, dict):
+        results = wire.unwrap(payload, "sweep_report")
+        if not (
+            isinstance(results, list)
+            and all(isinstance(result, ScenarioResult) for result in results)
+        ):
             raise wire.WireFormatError(
-                f"expected a sweep_report dict, got {type(payload).__name__!r}"
+                "sweep_report payload does not decode to a list of ScenarioResult"
             )
-        version = payload.get("schema_version")
-        if version != wire.SCHEMA_VERSION:
-            raise wire.WireFormatError(
-                f"unsupported schema_version {version!r} (this build reads "
-                f"version {wire.SCHEMA_VERSION})"
-            )
-        if payload.get("kind") != "sweep_report":
-            raise wire.WireFormatError(
-                f"expected a 'sweep_report' payload, got {payload.get('kind')!r}"
-            )
-        results = [wire.decode(item) for item in payload["results"]]
-        for result in results:
-            if not isinstance(result, ScenarioResult):
-                raise wire.WireFormatError(
-                    f"sweep_report result decoded to {type(result).__name__!r}"
-                )
         return cls(
             results,
             methods=tuple(payload["methods"]),

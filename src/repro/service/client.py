@@ -68,14 +68,24 @@ class ServiceClient:
             host, port = address
             self._sock = socket.create_connection((host, int(port)), timeout=timeout)
         self._file = self._sock.makefile("rwb")
-        self.hello = self._read()
-        if self.hello.get("type") != "hello":
-            raise ServiceError(f"expected a hello greeting, got {self.hello!r}")
-        if self.hello.get("protocol_version") != PROTOCOL_VERSION:
-            raise ServiceError(
-                f"protocol version mismatch: server speaks "
-                f"{self.hello.get('protocol_version')!r}, client {PROTOCOL_VERSION}"
-            )
+        try:
+            self.hello = self._read()
+            if self.hello.get("type") != "hello":
+                raise ServiceError(f"expected a hello greeting, got {self.hello!r}")
+            if self.hello.get("protocol_version") != PROTOCOL_VERSION:
+                raise ServiceError(
+                    f"protocol version mismatch: server speaks "
+                    f"{self.hello.get('protocol_version')!r}, client {PROTOCOL_VERSION}"
+                )
+            # Checked here, not when a result fails to decode mid-job.
+            if self.hello.get("schema_version") != wire.SCHEMA_VERSION:
+                raise ServiceError(
+                    f"wire schema version mismatch: server writes "
+                    f"{self.hello.get('schema_version')!r}, client reads {wire.SCHEMA_VERSION}"
+                )
+        except BaseException:
+            self.close()
+            raise
 
     # ------------------------------------------------------------------ io
 

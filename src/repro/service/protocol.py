@@ -11,7 +11,7 @@ Message types
 
 Server greeting (sent on connect)::
 
-    {"type": "hello", "protocol_version": 1, "schema_version": 1,
+    {"type": "hello", "protocol_version": 1, "schema_version": 2,
      "server_version": "0.4.0"}
 
 Client requests and their responses:

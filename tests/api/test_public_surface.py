@@ -83,4 +83,4 @@ class TestDeletedIn040:
         circuit.add_capacitor("C1", "out", "0", fF(1))
         with pytest.raises(TypeError, match="solver"):
             transient(circuit, ps(50), ps(1), solver="fast")
-        assert transient(circuit, ps(50), ps(1)).stats.solver == "auto"
+        assert not hasattr(transient(circuit, ps(50), ps(1)).stats, "solver")

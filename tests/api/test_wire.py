@@ -6,6 +6,8 @@ strings are byte-identical -- the property the service's dedup store and the
 ECO bit-identity guarantee are built on.
 """
 
+import base64
+import binascii
 import json
 import math
 
@@ -126,26 +128,50 @@ class TestCodec:
             wire.decode({"__wire__": "hologram"})
 
 
+def packed(values, dtype="<f8"):
+    """Base64 of ``values`` as little-endian ``dtype`` bytes, as the wire packs them."""
+    return base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode("ascii")
+
+
 #: Tagged payloads malformed in one way each, with the error each one
-#: caused before decode turned it into a ``WireFormatError`` (None: the
-#: payload is refused outright).
+#: caused before decode turned it into a ``WireFormatError``.
 MALFORMED = {
     "tuple-without-items": ({"__wire__": "tuple"}, KeyError),
     "ndarray-shape-does-not-fit-data": (
-        {"__wire__": "ndarray", "dtype": "float64", "shape": [2, 2], "data": [1.0, 2.0, 3.0]},
+        {"__wire__": "ndarray", "dtype": "<f8", "shape": [2, 2], "data": packed([1.0, 2.0, 3.0])},
         ValueError,
     ),
+    "ndarray-bytes-do-not-fit-itemsize": (
+        {"__wire__": "ndarray", "dtype": "<f8", "shape": [1], "data": packed(range(7), "u1")},
+        ValueError,
+    ),
+    "ndarray-negative-shape": (
+        {"__wire__": "ndarray", "dtype": "<f8", "shape": [-1], "data": packed([1.0])},
+        ValueError,
+    ),
+    "ndarray-invalid-base64": (
+        {"__wire__": "ndarray", "dtype": "<f8", "shape": [1], "data": "AAAA!AAAAAA="},
+        binascii.Error,
+    ),
     "ndarray-unknown-dtype": (
-        {"__wire__": "ndarray", "dtype": "float77", "shape": [1], "data": [1.0]},
+        {"__wire__": "ndarray", "dtype": "float77", "shape": [1], "data": packed([1.0])},
         TypeError,
     ),
     "ndarray-object-dtype": (
-        {"__wire__": "ndarray", "dtype": "object", "shape": [1], "data": [1.0]},
-        None,
+        {"__wire__": "ndarray", "dtype": "object", "shape": [1], "data": packed([1.0])},
+        TypeError,
     ),
-    "ndarray-data-overflows-its-dtype": (
+    "ndarray-unicode-dtype": (
+        {"__wire__": "ndarray", "dtype": "<U4", "shape": [1], "data": packed([1.0, 2.0])},
+        TypeError,
+    ),
+    "ndarray-void-dtype": (
+        {"__wire__": "ndarray", "dtype": "V8", "shape": [1], "data": packed([1.0])},
+        TypeError,
+    ),
+    "ndarray-data-in-the-v1-list-layout": (
         {"__wire__": "ndarray", "dtype": "float64", "shape": [1], "data": [10**400]},
-        OverflowError,
+        TypeError,
     ),
     "mapping-with-a-list-key": ({"__wire__": "mapping", "items": [[[1, 2], "v"]]}, TypeError),
     "dataclass-fields-not-a-dict": (
@@ -153,9 +179,53 @@ MALFORMED = {
         AttributeError,
     ),
     "waveform-lengths-differ": (
-        {"__wire__": "waveform", "times": [0.0, 1e-12], "values": [0.0]},
+        {"__wire__": "waveform", "times": packed([0.0, 1e-12]), "values": packed([0.0])},
         ValueError,
     ),
+    "waveform-axis-without-a-table": (
+        {"__wire__": "waveform", "axis": 0, "values": packed([0.0, 1.0])},
+        LookupError,
+    ),
+}
+
+
+def envelope_with(waveform, axes):
+    """A ``cluster_report`` envelope around ``waveform`` with an ``axes`` table."""
+    return {
+        "schema_version": wire.SCHEMA_VERSION,
+        "kind": "cluster_report",
+        "axes": axes,
+        "payload": waveform,
+    }
+
+
+#: Envelopes whose axes table or axis reference is malformed, with the
+#: error each one causes.
+MALFORMED_ENVELOPES = {
+    "axis-out-of-range": (
+        envelope_with({"__wire__": "waveform", "axis": 1, "values": packed([0.0, 1.0])},
+                      [packed([0.0, 1e-12])]),
+        IndexError,
+    ),
+    "axis-negative": (
+        envelope_with({"__wire__": "waveform", "axis": -1, "values": packed([0.0, 1.0])},
+                      [packed([0.0, 1e-12])]),
+        IndexError,
+    ),
+    "axis-not-an-int": (
+        envelope_with({"__wire__": "waveform", "axis": "0", "values": packed([0.0, 1.0])},
+                      [packed([0.0, 1e-12])]),
+        TypeError,
+    ),
+    "axis-a-bool": (
+        envelope_with({"__wire__": "waveform", "axis": False, "values": packed([0.0, 1.0])},
+                      [packed([0.0, 1e-12])]),
+        TypeError,
+    ),
+    "axes-not-a-list": (envelope_with(1, {"0": packed([0.0, 1e-12])}), TypeError),
+    "axes-missing": (envelope_with(1, None), TypeError),
+    "axes-invalid-base64": (envelope_with(1, ["AA=A"]), binascii.Error),
+    "axes-bytes-do-not-fit-float64": (envelope_with(1, [packed([1, 2, 3], "u1")]), ValueError),
 }
 
 
@@ -165,10 +235,14 @@ class TestMalformedPayloads:
         payload, cause = MALFORMED[case]
         with pytest.raises(wire.WireFormatError) as excinfo:
             wire.decode(payload)
-        if cause is None:
-            assert excinfo.value.__cause__ is None
-        else:
-            assert isinstance(excinfo.value.__cause__, cause)
+        assert isinstance(excinfo.value.__cause__, cause)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_ENVELOPES))
+    def test_malformed_axes_raise_wire_format_error_chained_to_its_cause(self, case):
+        envelope, cause = MALFORMED_ENVELOPES[case]
+        with pytest.raises(wire.WireFormatError) as excinfo:
+            wire.unwrap(envelope, "cluster_report")
+        assert isinstance(excinfo.value.__cause__, cause)
 
     def test_a_nested_error_is_not_wrapped_again(self):
         payload = {"__wire__": "tuple", "items": [{"__wire__": "hologram"}]}
@@ -192,11 +266,20 @@ _CLASSES = [
     "repro.api:NoiseAnalysisSession",
     "os:environ",
 ]
-_DTYPES = ["float64", "int32", "bool", "complex128", "<U3", "object", "O", "float77"]
+_DTYPES = [
+    "float64", "int32", "bool", "complex128", "<U3", "object", "O", "float77",
+    "<f8", ">f8", "|b1", "<i4", "<u2", "<c16", "<U4", "V8",
+]
 _KEYS = [
-    "items", "dtype", "shape", "data", "times", "values", "class", "fields",
+    "items", "dtype", "shape", "data", "times", "values", "axis", "class", "fields",
     "vccs_grid", "methods", "dt", "fails", "height", "num_segments", "max_aggressors",
 ]
+
+#: Base64 strings: packed bytes of any length, and a few invalid ones.
+_packed = st.binary(max_size=40).map(lambda raw: base64.b64encode(raw).decode("ascii")) | (
+    st.sampled_from(["!", "AAA", "AA=A", "AAAA AAAA", "é"])
+)
+_shapes = st.lists(st.integers(min_value=-2, max_value=5) | st.just(10**400), max_size=3)
 
 _leaves = (
     st.none()
@@ -205,6 +288,7 @@ _leaves = (
     | st.just(10**400)
     | st.floats()
     | st.text(max_size=4)
+    | _packed
     | st.sampled_from(_TAGS + _CLASSES + _DTYPES + _KEYS)
 )
 
@@ -215,10 +299,21 @@ def _containers(children):
         st.sampled_from(_TAGS),
         st.dictionaries(st.sampled_from(_KEYS), children, max_size=4),
     )
+    # Well-formed v2 bodies with one field at a time drawn from anywhere.
+    ndarray = st.fixed_dictionaries(
+        {"__wire__": st.just("ndarray"), "dtype": st.sampled_from(_DTYPES),
+         "shape": _shapes, "data": _packed | children},
+    )
+    waveform = st.fixed_dictionaries(
+        {"__wire__": st.just("waveform"), "values": _packed | children},
+        optional={"times": _packed | children, "axis": st.integers(-1, 3) | children},
+    )
     return (
         st.lists(children, max_size=4)
         | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=3), children, max_size=4)
         | tagged
+        | ndarray
+        | waveform
     )
 
 
@@ -234,6 +329,43 @@ def test_any_json_payload_decodes_or_raises_wire_format_error(payload):
         wire.decode(json.loads(json.dumps(payload)))
     except wire.WireFormatError:
         pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(axes=st.lists(_packed, max_size=3) | _leaves, payload=_json_payloads)
+def test_any_envelope_unwraps_or_raises_wire_format_error(axes, payload):
+    """The same holds under an envelope, whose ``axes`` table gives the
+    waveforms' ``axis`` references something to resolve."""
+    envelope = {
+        "schema_version": wire.SCHEMA_VERSION,
+        "kind": "cluster_report",
+        "axes": axes,
+        "payload": payload,
+    }
+    try:
+        wire.unwrap(json.loads(json.dumps(envelope)), "cluster_report")
+    except wire.WireFormatError:
+        pass
+
+
+#: Float64 bit patterns the decimal v1 format could not all carry.
+_special_floats = st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, 5e-324, -2.2250738585072e-308, math.nan]
+).map(lambda value: np.float64(value).view(np.uint64)) | st.integers(0, 2**64 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bits=st.lists(_special_floats.map(int), min_size=2, max_size=16))
+def test_float64_bit_patterns_survive_exactly(bits):
+    """NaN payloads, -0.0, infinities and subnormals come back bit for bit,
+    as an ndarray and as waveform values under an envelope."""
+    array = np.array(bits, dtype=np.uint64).view(np.float64)
+    decoded = round_trip(array)
+    assert decoded.dtype == np.float64 and decoded.tobytes() == array.tobytes()
+    assert decoded.flags.writeable and decoded.flags.owndata
+    wave = Waveform(np.arange(array.size) * 1e-12, array)
+    envelope = json.loads(json.dumps(wire.wrap("cluster_report", wave)))
+    assert wire.unwrap(envelope, "cluster_report").values.tobytes() == array.tobytes()
 
 
 class TestEnvelope:
@@ -257,6 +389,42 @@ class TestEnvelope:
     def test_non_dict_rejected(self):
         with pytest.raises(wire.WireFormatError, match="envelope"):
             wire.unwrap([1, 2], "cluster_report")
+
+
+class TestV2Layout:
+    def test_ndarray_is_packed_little_endian_and_decodes_native(self):
+        encoded = wire.encode(np.array([1.5, -2.0], dtype=">f8"))
+        assert encoded["dtype"] == "<f8" and encoded["shape"] == [2]
+        assert encoded["data"] == packed([1.5, -2.0])
+        decoded = wire.decode(encoded)
+        assert decoded.dtype == np.float64 and decoded.dtype.isnative
+        assert decoded.flags.writeable and decoded.flags.owndata
+        assert decoded.tolist() == [1.5, -2.0]
+
+    def test_non_numeric_arrays_are_refused_on_encode(self):
+        with pytest.raises(wire.WireFormatError, match="cannot encode"):
+            wire.encode(np.array(["a", "b"]))
+
+    def test_bare_encode_packs_times_inline(self):
+        encoded = wire.encode(Waveform([0.0, 1e-12], [0.5, 0.25]))
+        assert encoded == {
+            "__wire__": "waveform",
+            "times": packed([0.0, 1e-12]),
+            "values": packed([0.5, 0.25]),
+        }
+
+    def test_wrap_stores_each_axis_once_in_order_of_first_appearance(self):
+        first, second = [0.0, 1e-12, 3e-12], [0.0, 2e-12, 3e-12]
+        waves = [
+            Waveform(first, [0.0, 1.0, 2.0]),
+            Waveform(second, [0.0, 1.0, 2.0]),
+            Waveform(list(first), [3.0, 4.0, 5.0]),
+        ]
+        envelope = wire.wrap("cluster_report", waves)
+        assert envelope["axes"] == [packed(first), packed(second)]
+        assert [wave["axis"] for wave in envelope["payload"]] == [0, 1, 0]
+        decoded = wire.unwrap(json.loads(json.dumps(envelope)), "cluster_report")
+        assert decoded == waves
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +514,19 @@ class TestSessionReportRoundTrip:
         assert decoded.cluster(analyzed.label).primary.peak == analyzed.primary.peak
         # The behavioural surface survives serialisation.
         assert decoded.text() == report.text()
+
+
+def test_a_24_cluster_session_report_holds_one_axis():
+    library = build_default_library("cmos130")
+    config = AnalysisConfig(methods=("macromodel",), vccs_grid=5, check_nrc=False, dt=4e-12)
+    session = NoiseAnalysisSession(library, config)
+    specs = [figure1_cluster(length_um=150.0 + 10.0 * i, num_segments=3) for i in range(24)]
+    labels = [f"net{i}" for i in range(24)]
+    report = SessionReport(session.analyze_many(specs, labels=labels), ("macromodel",), 1.0)
+    payload = report.to_json()
+    assert len(payload["axes"]) == 1
+    decoded = SessionReport.from_json(json.loads(json.dumps(payload)))
+    assert canonical(decoded.to_json()) == canonical(payload)
 
 
 class TestSweepReportRoundTrip:

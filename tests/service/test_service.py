@@ -9,11 +9,13 @@ fault-injection machinery from :mod:`repro.faults`.
 
 import json
 import os
+import socket
+import threading
 
 import pytest
 
 from repro import faults
-from repro.api import AnalysisConfig
+from repro.api import SCHEMA_VERSION, AnalysisConfig
 from repro.sna import ExtractionConfig, SyntheticChip
 from repro.experiments import figure1_cluster
 from repro.service import (
@@ -24,6 +26,7 @@ from repro.service import (
     start_server_in_thread,
     technology_library_fingerprint,
 )
+from repro.service.protocol import PROTOCOL_VERSION, dump_message
 
 CONFIG = AnalysisConfig(methods=("macromodel",), vccs_grid=5, check_nrc=False, dt=4e-12)
 
@@ -94,10 +97,27 @@ class TestFingerprint:
 # Lifecycle
 
 
+def greeting_server(hello):
+    """A one-connection stub server that sends ``hello`` and waits for close."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        connection, _ = listener.accept()
+        with connection:
+            connection.sendall(dump_message(hello))
+            connection.recv(1)  # returns b"" once the client hangs up
+        listener.close()
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return listener.getsockname(), thread
+
+
 class TestLifecycle:
     def test_hello_ping_status_submit_shutdown(self, service):
         server, client = service
         assert client.hello["server_version"]
+        assert client.hello["schema_version"] == SCHEMA_VERSION
         client.ping()
 
         status = client.status()
@@ -176,6 +196,20 @@ class TestLifecycle:
 
 # ---------------------------------------------------------------------------
 # Fingerprint dedup
+
+    def test_a_server_writing_another_wire_schema_is_refused_at_hello(self):
+        address, thread = greeting_server(
+            {
+                "type": "hello",
+                "protocol_version": PROTOCOL_VERSION,
+                "schema_version": 1,
+                "server_version": "0.3.0",
+            }
+        )
+        with pytest.raises(ServiceError, match=f"server writes 1, client reads {SCHEMA_VERSION}"):
+            ServiceClient(address, timeout=10.0)
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()  # the refused client closed its connection
 
 
 class TestDedup:
